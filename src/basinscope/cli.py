@@ -13,7 +13,7 @@ from . import report as report_mod
 from .attractors import (
     Attractor, attractors, import_attractors, load_attractor_seeds)
 from .ctl import CtlError, accept, parse_ctl, render_ctl
-from .dd import ExprStyle, node_limit_from_env
+from .dd import ExprStyle, NodeLimitError, node_limit_from_env
 from .model import BnetError, detect_van_ham_pairs, parse_bnet, render_expr
 from .stg import UpdateMode, build
 
@@ -298,6 +298,18 @@ def run(argv=None) -> int:
         return 1
     except (BnetError, CtlError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except NodeLimitError as exc:
+        print(f"error: {exc}; set BASINSCOPE_NODE_LIMIT to raise the limit",
+              file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: maximum recursion depth exceeded (Python recursion "
+              f"limit {sys.getrecursionlimit()})", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory; set BASINSCOPE_NODE_LIMIT to stop "
+              "earlier with a clear message", file=sys.stderr)
         return 1
 
 

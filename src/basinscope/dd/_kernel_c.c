@@ -1,0 +1,631 @@
+/* Compiled reduced ordered BDD kernel; same API and node ids as _kernel_py.
+ *
+ * Nodes live in one array of (level, low, high, next) records; `next` chains
+ * the unique table, whose bucket array doubles whenever it holds as many
+ * nodes as buckets.  All operations share one direct-mapped computed table
+ * (as in CUDD): a colliding store overwrites the old entry.  Recomputing an
+ * evicted entry only revisits nodes that already exist, so node ids are the
+ * same as with the unbounded caches of the pure-Python kernel.  The computed
+ * table grows with the unique table up to CACHE_MAX_SLOTS entries.
+ *
+ * Every recursive routine returns a node id, or -1 with a Python exception
+ * set.  No pointer into the node array or the computed table is held across
+ * a call that can create nodes, because both arrays may be reallocated.
+ */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <structmember.h>
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+enum { OP_AND, OP_OR, OP_XOR, OP_DIFF };
+
+/* computed-table tags; the parity or direction is added to the base */
+enum { TAG_EXISTS = 4, TAG_AND_EXISTS = 6, TAG_SHIFT = 8 };
+
+#define INITIAL_SLOTS (1u << 12)
+#define CACHE_MAX_SLOTS (1u << 22)
+#define MAX_NODES 0x7FFFFFFELL
+
+typedef struct {
+    int32_t level, low, high, next;
+} Node;
+
+typedef struct {
+    int32_t f, g, res;
+    uint32_t tag;
+} CacheEntry;
+
+typedef struct {
+    PyObject_HEAD
+    int n;
+    int num_levels;
+    long long node_limit;
+    Node *nodes;
+    int32_t size, capacity;
+    int32_t *buckets;
+    uint32_t bucket_mask;
+    CacheEntry *cache;
+    uint32_t cache_mask;
+} Kernel;
+
+static PyObject *NodeLimitError;
+
+static inline uint32_t hash3(uint32_t a, uint32_t b, uint32_t c)
+{
+    uint64_t h = (((uint64_t)a << 32) | b) * 0x9E3779B97F4A7C15ULL;
+    h = (h ^ (h >> 29) ^ c) * 0xBF58476D1CE4E5B9ULL;
+    return (uint32_t)(h >> 32);
+}
+
+/* -- computed table ------------------------------------------------------ */
+
+static inline CacheEntry *cache_slot(Kernel *k, uint32_t tag, int32_t f,
+                                     int32_t g)
+{
+    return &k->cache[hash3(tag, (uint32_t)f, (uint32_t)g) & k->cache_mask];
+}
+
+static inline int32_t cache_lookup(Kernel *k, uint32_t tag, int32_t f,
+                                   int32_t g)
+{
+    CacheEntry *e = cache_slot(k, tag, f, g);
+    if (e->tag == tag && e->f == f && e->g == g)
+        return e->res;
+    return -1;
+}
+
+static inline void cache_store(Kernel *k, uint32_t tag, int32_t f, int32_t g,
+                               int32_t res)
+{
+    CacheEntry *e = cache_slot(k, tag, f, g);
+    e->tag = tag;
+    e->f = f;
+    e->g = g;
+    e->res = res;
+}
+
+static void cache_clear(Kernel *k)
+{
+    memset(k->cache, 0xFF, (size_t)(k->cache_mask + 1) * sizeof(CacheEntry));
+}
+
+/* -- unique table -------------------------------------------------------- */
+
+static inline uint32_t node_hash(int32_t level, int32_t low, int32_t high)
+{
+    return hash3((uint32_t)level, (uint32_t)low, (uint32_t)high);
+}
+
+/* Double the bucket array and, below its cap, the computed table.  On
+ * allocation failure the old tables stay in use: longer chains and more
+ * evictions cost time, not correctness. */
+static void grow_tables(Kernel *k)
+{
+    uint32_t slots = (k->bucket_mask + 1) * 2;
+    int32_t *buckets = calloc(slots, sizeof(int32_t));
+    if (buckets != NULL) {
+        free(k->buckets);
+        k->buckets = buckets;
+        k->bucket_mask = slots - 1;
+        for (int32_t i = 2; i < k->size; i++) {
+            Node *nd = &k->nodes[i];
+            uint32_t h = node_hash(nd->level, nd->low, nd->high) & k->bucket_mask;
+            nd->next = buckets[h];
+            buckets[h] = i;
+        }
+    }
+    if (slots <= CACHE_MAX_SLOTS && slots > k->cache_mask + 1) {
+        CacheEntry *cache = malloc((size_t)slots * sizeof(CacheEntry));
+        if (cache != NULL) {
+            free(k->cache);
+            k->cache = cache;
+            k->cache_mask = slots - 1;
+            cache_clear(k);
+        }
+    }
+}
+
+static int32_t mk(Kernel *k, int32_t level, int32_t low, int32_t high)
+{
+    if (low == high)
+        return low;
+    uint32_t h = node_hash(level, low, high) & k->bucket_mask;
+    for (int32_t i = k->buckets[h]; i != 0; i = k->nodes[i].next) {
+        Node *nd = &k->nodes[i];
+        if (nd->level == level && nd->low == low && nd->high == high)
+            return i;
+    }
+    int32_t id = k->size;
+    if (id > k->node_limit || id >= MAX_NODES) {
+        PyErr_Format(NodeLimitError,
+                     "decision diagram exceeds node limit %lld", k->node_limit);
+        return -1;
+    }
+    if (id == k->capacity) {
+        int32_t cap = k->capacity > MAX_NODES / 2 ? (int32_t)MAX_NODES
+                                                  : k->capacity * 2;
+        Node *nodes = realloc(k->nodes, (size_t)cap * sizeof(Node));
+        if (nodes == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        k->nodes = nodes;
+        k->capacity = cap;
+    }
+    Node *nd = &k->nodes[id];
+    nd->level = level;
+    nd->low = low;
+    nd->high = high;
+    nd->next = k->buckets[h];
+    k->buckets[h] = id;
+    k->size = id + 1;
+    if ((uint32_t)k->size > k->bucket_mask + 1)
+        grow_tables(k);
+    return id;
+}
+
+/* -- operations (same recursion order as _kernel_py) --------------------- */
+
+static int32_t apply(Kernel *k, int op, int32_t f, int32_t g)
+{
+    switch (op) {
+    case OP_AND:
+        if (f == 0 || g == 0) return 0;
+        if (f == 1) return g;
+        if (g == 1 || f == g) return f;
+        break;
+    case OP_OR:
+        if (f == 1 || g == 1) return 1;
+        if (f == 0) return g;
+        if (g == 0 || f == g) return f;
+        break;
+    case OP_XOR:
+        if (f == g) return 0;
+        if (f == 0) return g;
+        if (g == 0) return f;
+        break;
+    default: /* OP_DIFF */
+        if (f == 0 || g == 1 || f == g) return 0;
+        if (g == 0) return f;
+        break;
+    }
+    if (op != OP_DIFF && f > g) {
+        int32_t t = f;
+        f = g;
+        g = t;
+    }
+    int32_t res = cache_lookup(k, (uint32_t)op, f, g);
+    if (res >= 0)
+        return res;
+    Node nf = k->nodes[f], ng = k->nodes[g];
+    int32_t top = nf.level <= ng.level ? nf.level : ng.level;
+    int32_t f0 = f, f1 = f, g0 = g, g1 = g;
+    if (nf.level == top) { f0 = nf.low; f1 = nf.high; }
+    if (ng.level == top) { g0 = ng.low; g1 = ng.high; }
+    int32_t r0 = apply(k, op, f0, g0);
+    if (r0 < 0) return -1;
+    int32_t r1 = apply(k, op, f1, g1);
+    if (r1 < 0) return -1;
+    res = mk(k, top, r0, r1);
+    if (res < 0) return -1;
+    cache_store(k, (uint32_t)op, f, g, res);
+    return res;
+}
+
+static int32_t exists_parity(Kernel *k, int parity, int32_t f)
+{
+    if (f < 2)
+        return f;
+    uint32_t tag = TAG_EXISTS + parity;
+    int32_t res = cache_lookup(k, tag, f, 0);
+    if (res >= 0)
+        return res;
+    Node nf = k->nodes[f];
+    int32_t r0 = exists_parity(k, parity, nf.low);
+    if (r0 < 0) return -1;
+    int32_t r1 = exists_parity(k, parity, nf.high);
+    if (r1 < 0) return -1;
+    if ((nf.level & 1) == parity)
+        res = apply(k, OP_OR, r0, r1);
+    else
+        res = mk(k, nf.level, r0, r1);
+    if (res < 0) return -1;
+    cache_store(k, tag, f, 0, res);
+    return res;
+}
+
+static int32_t and_exists(Kernel *k, int parity, int32_t f, int32_t g)
+{
+    if (f == 0 || g == 0)
+        return 0;
+    if (f == 1 || f == g)
+        return exists_parity(k, parity, g);
+    if (g == 1)
+        return exists_parity(k, parity, f);
+    if (f > g) {
+        int32_t t = f;
+        f = g;
+        g = t;
+    }
+    uint32_t tag = TAG_AND_EXISTS + parity;
+    int32_t res = cache_lookup(k, tag, f, g);
+    if (res >= 0)
+        return res;
+    Node nf = k->nodes[f], ng = k->nodes[g];
+    int32_t top = nf.level <= ng.level ? nf.level : ng.level;
+    int32_t f0 = f, f1 = f, g0 = g, g1 = g;
+    if (nf.level == top) { f0 = nf.low; f1 = nf.high; }
+    if (ng.level == top) { g0 = ng.low; g1 = ng.high; }
+    int32_t r0 = and_exists(k, parity, f0, g0);
+    if (r0 < 0) return -1;
+    if ((top & 1) != parity) {
+        int32_t r1 = and_exists(k, parity, f1, g1);
+        if (r1 < 0) return -1;
+        res = mk(k, top, r0, r1);
+    } else if (r0 == 1) {
+        res = 1; /* the disjunction is already TRUE: skip the high branch */
+    } else {
+        int32_t r1 = and_exists(k, parity, f1, g1);
+        if (r1 < 0) return -1;
+        res = apply(k, OP_OR, r0, r1);
+    }
+    if (res < 0) return -1;
+    cache_store(k, tag, f, g, res);
+    return res;
+}
+
+static int32_t shift(Kernel *k, int delta, int32_t f)
+{
+    if (f < 2)
+        return f;
+    uint32_t tag = TAG_SHIFT + (delta > 0);
+    int32_t res = cache_lookup(k, tag, f, 0);
+    if (res >= 0)
+        return res;
+    Node nf = k->nodes[f];
+    if ((nf.level & 1) != (delta == 1 ? 0 : 1)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "rename applied to a mixed-polarity diagram");
+        return -1;
+    }
+    int32_t r0 = shift(k, delta, nf.low);
+    if (r0 < 0) return -1;
+    int32_t r1 = shift(k, delta, nf.high);
+    if (r1 < 0) return -1;
+    res = mk(k, nf.level + delta, r0, r1);
+    if (res < 0) return -1;
+    cache_store(k, tag, f, 0, res);
+    return res;
+}
+
+/* -- Python argument conversion ------------------------------------------ */
+
+static int arg_int(PyObject *o, long *out)
+{
+    long v = PyLong_AsLong(o);
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    *out = v;
+    return 0;
+}
+
+static int arg_node(Kernel *k, PyObject *o, int32_t *out)
+{
+    long v;
+    if (arg_int(o, &v) < 0)
+        return -1;
+    if (v < 0 || v >= k->size) {
+        PyErr_Format(PyExc_IndexError, "node id %ld out of range", v);
+        return -1;
+    }
+    *out = (int32_t)v;
+    return 0;
+}
+
+static int arg_parity(PyObject *o, int *out)
+{
+    long v;
+    if (arg_int(o, &v) < 0)
+        return -1;
+    if (v != 0 && v != 1) {
+        PyErr_SetString(PyExc_ValueError, "parity must be 0 or 1");
+        return -1;
+    }
+    *out = (int)v;
+    return 0;
+}
+
+static int check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t want)
+{
+    if (nargs == want)
+        return 0;
+    PyErr_Format(PyExc_TypeError, "%s() takes exactly %zd arguments (%zd given)",
+                 name, want, nargs);
+    return -1;
+}
+
+static PyObject *node_result(int32_t r)
+{
+    return r < 0 ? NULL : PyLong_FromLong(r);
+}
+
+/* -- Kernel type --------------------------------------------------------- */
+
+static void Kernel_free_tables(Kernel *self)
+{
+    free(self->nodes);
+    free(self->buckets);
+    free(self->cache);
+    self->nodes = NULL;
+    self->buckets = NULL;
+    self->cache = NULL;
+}
+
+static int Kernel_init(Kernel *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"n_vars", "node_limit", NULL};
+    int n_vars;
+    long long node_limit = 1LL << 24;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "i|L", kwlist, &n_vars,
+                                     &node_limit))
+        return -1;
+    if (n_vars < 0 || n_vars > (1 << 28)) {
+        PyErr_SetString(PyExc_ValueError, "n_vars out of range");
+        return -1;
+    }
+    Kernel_free_tables(self);
+    self->n = n_vars;
+    self->num_levels = 2 * n_vars;
+    self->node_limit = node_limit;
+    self->capacity = INITIAL_SLOTS;
+    self->nodes = malloc(INITIAL_SLOTS * sizeof(Node));
+    self->buckets = calloc(INITIAL_SLOTS, sizeof(int32_t));
+    self->cache = malloc(INITIAL_SLOTS * sizeof(CacheEntry));
+    if (self->nodes == NULL || self->buckets == NULL || self->cache == NULL) {
+        Kernel_free_tables(self);
+        PyErr_NoMemory();
+        return -1;
+    }
+    self->bucket_mask = INITIAL_SLOTS - 1;
+    self->cache_mask = INITIAL_SLOTS - 1;
+    cache_clear(self);
+    for (int32_t t = 0; t < 2; t++) {
+        self->nodes[t].level = self->num_levels;
+        self->nodes[t].low = t;
+        self->nodes[t].high = t;
+        self->nodes[t].next = 0;
+    }
+    self->size = 2;
+    return 0;
+}
+
+static void Kernel_dealloc(Kernel *self)
+{
+    Kernel_free_tables(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static int Kernel_ready(Kernel *self)
+{
+    if (self->nodes != NULL)
+        return 0;
+    PyErr_SetString(PyExc_RuntimeError, "Kernel.__init__ was not called");
+    return -1;
+}
+
+static PyObject *Kernel_mk(Kernel *self, PyObject *const *args,
+                           Py_ssize_t nargs)
+{
+    long level;
+    int32_t low, high;
+    if (Kernel_ready(self) < 0 || check_nargs("mk", nargs, 3) < 0
+        || arg_int(args[0], &level) < 0 || arg_node(self, args[1], &low) < 0
+        || arg_node(self, args[2], &high) < 0)
+        return NULL;
+    if (level < 0 || level >= self->num_levels) {
+        PyErr_Format(PyExc_ValueError, "level %ld out of range", level);
+        return NULL;
+    }
+    return node_result(mk(self, (int32_t)level, low, high));
+}
+
+static PyObject *Kernel_var(Kernel *self, PyObject *arg)
+{
+    long level;
+    if (Kernel_ready(self) < 0 || arg_int(arg, &level) < 0)
+        return NULL;
+    if (level < 0 || level >= self->num_levels) {
+        PyErr_Format(PyExc_ValueError, "level %ld out of range", level);
+        return NULL;
+    }
+    return node_result(mk(self, (int32_t)level, 0, 1));
+}
+
+static PyObject *Kernel_level_of(Kernel *self, PyObject *arg)
+{
+    int32_t f;
+    if (Kernel_ready(self) < 0 || arg_node(self, arg, &f) < 0)
+        return NULL;
+    return PyLong_FromLong(self->nodes[f].level);
+}
+
+static PyObject *Kernel_low_of(Kernel *self, PyObject *arg)
+{
+    int32_t f;
+    if (Kernel_ready(self) < 0 || arg_node(self, arg, &f) < 0)
+        return NULL;
+    return PyLong_FromLong(self->nodes[f].low);
+}
+
+static PyObject *Kernel_high_of(Kernel *self, PyObject *arg)
+{
+    int32_t f;
+    if (Kernel_ready(self) < 0 || arg_node(self, arg, &f) < 0)
+        return NULL;
+    return PyLong_FromLong(self->nodes[f].high);
+}
+
+static PyObject *Kernel_num_nodes(Kernel *self, PyObject *Py_UNUSED(ignored))
+{
+    return PyLong_FromLong(self->size);
+}
+
+static PyObject *Kernel_reset_cache(Kernel *self, PyObject *Py_UNUSED(ignored))
+{
+    if (self->cache != NULL)
+        cache_clear(self);
+    Py_RETURN_NONE;
+}
+
+static PyObject *Kernel_apply(Kernel *self, PyObject *const *args,
+                              Py_ssize_t nargs)
+{
+    long op;
+    int32_t f, g;
+    if (Kernel_ready(self) < 0 || check_nargs("apply", nargs, 3) < 0
+        || arg_int(args[0], &op) < 0)
+        return NULL;
+    if (op < OP_AND || op > OP_DIFF) {
+        PyErr_Format(PyExc_ValueError, "unknown operation code %ld", op);
+        return NULL;
+    }
+    if (arg_node(self, args[1], &f) < 0 || arg_node(self, args[2], &g) < 0)
+        return NULL;
+    return node_result(apply(self, (int)op, f, g));
+}
+
+static PyObject *Kernel_negate(Kernel *self, PyObject *arg)
+{
+    int32_t f;
+    if (Kernel_ready(self) < 0 || arg_node(self, arg, &f) < 0)
+        return NULL;
+    return node_result(apply(self, OP_XOR, f, 1));
+}
+
+static PyObject *Kernel_exists_parity(Kernel *self, PyObject *const *args,
+                                      Py_ssize_t nargs)
+{
+    int parity;
+    int32_t f;
+    if (Kernel_ready(self) < 0 || check_nargs("exists_parity", nargs, 2) < 0
+        || arg_parity(args[0], &parity) < 0 || arg_node(self, args[1], &f) < 0)
+        return NULL;
+    return node_result(exists_parity(self, parity, f));
+}
+
+static PyObject *Kernel_and_exists(Kernel *self, PyObject *const *args,
+                                   Py_ssize_t nargs)
+{
+    int parity;
+    int32_t f, g;
+    if (Kernel_ready(self) < 0 || check_nargs("and_exists", nargs, 3) < 0
+        || arg_parity(args[0], &parity) < 0 || arg_node(self, args[1], &f) < 0
+        || arg_node(self, args[2], &g) < 0)
+        return NULL;
+    return node_result(and_exists(self, parity, f, g));
+}
+
+static PyObject *Kernel_shift(Kernel *self, PyObject *const *args,
+                              Py_ssize_t nargs)
+{
+    long delta;
+    int32_t f;
+    if (Kernel_ready(self) < 0 || check_nargs("shift", nargs, 2) < 0
+        || arg_int(args[0], &delta) < 0)
+        return NULL;
+    if (delta != 1 && delta != -1) {
+        PyErr_SetString(PyExc_ValueError, "shift delta must be +1 or -1");
+        return NULL;
+    }
+    if (arg_node(self, args[1], &f) < 0)
+        return NULL;
+    return node_result(shift(self, (int)delta, f));
+}
+
+static PyMethodDef Kernel_methods[] = {
+    {"mk", (PyCFunction)(void (*)(void))Kernel_mk, METH_FASTCALL,
+     "mk(level, low, high): the node (level, low, high), reduced."},
+    {"var", (PyCFunction)Kernel_var, METH_O, "var(level): the node of a slot."},
+    {"level_of", (PyCFunction)Kernel_level_of, METH_O, NULL},
+    {"low_of", (PyCFunction)Kernel_low_of, METH_O, NULL},
+    {"high_of", (PyCFunction)Kernel_high_of, METH_O, NULL},
+    {"num_nodes", (PyCFunction)Kernel_num_nodes, METH_NOARGS, NULL},
+    {"reset_cache", (PyCFunction)Kernel_reset_cache, METH_NOARGS,
+     "Drop every computed-table entry."},
+    {"apply", (PyCFunction)(void (*)(void))Kernel_apply, METH_FASTCALL,
+     "apply(op, f, g): binary Boolean operation."},
+    {"negate", (PyCFunction)Kernel_negate, METH_O, NULL},
+    {"exists_parity", (PyCFunction)(void (*)(void))Kernel_exists_parity,
+     METH_FASTCALL,
+     "exists_parity(parity, f): quantify every level of the given parity "
+     "(0 = unprimed, 1 = primed)."},
+    {"and_exists", (PyCFunction)(void (*)(void))Kernel_and_exists,
+     METH_FASTCALL,
+     "and_exists(parity, f, g): exists_parity(parity, apply(OP_AND, f, g)) "
+     "without building the conjunction."},
+    {"shift", (PyCFunction)(void (*)(void))Kernel_shift, METH_FASTCALL,
+     "shift(delta, f): rename unprimed to primed slots (+1) or back (-1)."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyMemberDef Kernel_members[] = {
+    {"n", T_INT, offsetof(Kernel, n), READONLY, NULL},
+    {"num_levels", T_INT, offsetof(Kernel, num_levels), READONLY, NULL},
+    {"node_limit", T_LONGLONG, offsetof(Kernel, node_limit), READONLY, NULL},
+    {NULL, 0, 0, 0, NULL},
+};
+
+static PyTypeObject KernelType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "basinscope.dd._kernel_c.Kernel",
+    .tp_doc = "Kernel(n_vars, node_limit=2**24): BDD node store over 2n "
+              "interleaved slots.",
+    .tp_basicsize = sizeof(Kernel),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_new = PyType_GenericNew,
+    .tp_init = (initproc)Kernel_init,
+    .tp_dealloc = (destructor)Kernel_dealloc,
+    .tp_methods = Kernel_methods,
+    .tp_members = Kernel_members,
+};
+
+static struct PyModuleDef kernel_module = {
+    PyModuleDef_HEAD_INIT,
+    .m_name = "_kernel_c",
+    .m_doc = "Compiled reduced ordered BDD kernel; same API as _kernel_py.",
+    .m_size = -1,
+};
+
+PyMODINIT_FUNC PyInit__kernel_c(void)
+{
+    if (PyType_Ready(&KernelType) < 0)
+        return NULL;
+    /* share the exception class, so callers catch one NodeLimitError
+     * whichever kernel is loaded */
+    PyObject *py_kernel = PyImport_ImportModule("basinscope.dd._kernel_py");
+    if (py_kernel == NULL)
+        return NULL;
+    NodeLimitError = PyObject_GetAttrString(py_kernel, "NodeLimitError");
+    Py_DECREF(py_kernel);
+    if (NodeLimitError == NULL)
+        return NULL;
+    PyObject *m = PyModule_Create(&kernel_module);
+    if (m == NULL)
+        return NULL;
+    Py_INCREF(&KernelType);
+    Py_INCREF(NodeLimitError);
+    if (PyModule_AddObject(m, "Kernel", (PyObject *)&KernelType) < 0
+        || PyModule_AddObject(m, "NodeLimitError", NodeLimitError) < 0
+        || PyModule_AddStringConstant(m, "BACKEND", "c") < 0
+        || PyModule_AddIntConstant(m, "OP_AND", OP_AND) < 0
+        || PyModule_AddIntConstant(m, "OP_OR", OP_OR) < 0
+        || PyModule_AddIntConstant(m, "OP_XOR", OP_XOR) < 0
+        || PyModule_AddIntConstant(m, "OP_DIFF", OP_DIFF) < 0) {
+        Py_DECREF(m);
+        return NULL;
+    }
+    return m;
+}

@@ -31,6 +31,7 @@ class Kernel:
         self._unique: dict[tuple[int, int, int], int] = {}
         self._apply_cache: dict[tuple[int, int, int], int] = {}
         self._exists_cache: dict[tuple[int, int], int] = {}
+        self._and_exists_cache: dict[tuple[int, int, int], int] = {}
         self._shift_cache: dict[tuple[int, int], int] = {}
 
     # -- node construction -------------------------------------------------
@@ -72,6 +73,7 @@ class Kernel:
     def reset_cache(self):
         self._apply_cache.clear()
         self._exists_cache.clear()
+        self._and_exists_cache.clear()
         self._shift_cache.clear()
 
     # -- Boolean operations ------------------------------------------------
@@ -154,23 +156,42 @@ class Kernel:
         self._exists_cache[key] = res
         return res
 
-    def exists_levels(self, levels: frozenset, f: int, _cache=None) -> int:
-        """Existentially quantify an arbitrary set of levels."""
-        if _cache is None:
-            _cache = {}
-        if f < 2:
-            return f
-        cached = _cache.get(f)
+    def and_exists(self, parity: int, f: int, g: int) -> int:
+        """Relational product: exists_parity(parity, apply(OP_AND, f, g))
+        in one recursion that never builds the conjunction f & g."""
+        if f == 0 or g == 0:
+            return 0
+        if f == 1 or f == g:
+            return self.exists_parity(parity, g)
+        if g == 1:
+            return self.exists_parity(parity, f)
+        if f > g:
+            f, g = g, f
+        key = (parity, f, g)
+        cached = self._and_exists_cache.get(key)
         if cached is not None:
             return cached
-        lf = self._level[f]
-        r0 = self.exists_levels(levels, self._low[f], _cache)
-        r1 = self.exists_levels(levels, self._high[f], _cache)
-        if lf in levels:
-            res = self.apply(OP_OR, r0, r1)
+        level = self._level
+        lf = level[f]
+        lg = level[g]
+        if lf <= lg:
+            top = lf
+            f0, f1 = self._low[f], self._high[f]
         else:
-            res = self.mk(lf, r0, r1)
-        _cache[f] = res
+            top = lg
+            f0 = f1 = f
+        if lg <= lf:
+            g0, g1 = self._low[g], self._high[g]
+        else:
+            g0 = g1 = g
+        r0 = self.and_exists(parity, f0, g0)
+        if top % 2 != parity:
+            res = self.mk(top, r0, self.and_exists(parity, f1, g1))
+        elif r0 == 1:
+            res = 1  # the disjunction is already TRUE: skip the high branch
+        else:
+            res = self.apply(OP_OR, r0, self.and_exists(parity, f1, g1))
+        self._and_exists_cache[key] = res
         return res
 
     # -- renaming ----------------------------------------------------------

@@ -1,23 +1,23 @@
-"""Kernel backend selection: compiled extension if available, else pure Python.
+"""Kernel backend selection: compiled C extension if built, else pure Python.
 
-Set BASINSCOPE_DD_BACKEND=py or =cy to force a backend.
+Set BASINSCOPE_DD_BACKEND=py or =c to force a backend.
 """
 
 import os
 
 _choice = os.environ.get("BASINSCOPE_DD_BACKEND")
-if _choice not in (None, "py", "cy"):
-    raise ImportError(f"BASINSCOPE_DD_BACKEND must be 'py' or 'cy', got {_choice!r}")
+if _choice not in (None, "py", "c"):
+    raise ImportError(f"BASINSCOPE_DD_BACKEND must be 'py' or 'c', got {_choice!r}")
 
 if _choice == "py":
     from ._kernel_py import (  # noqa: F401
         BACKEND, OP_AND, OP_DIFF, OP_OR, OP_XOR, Kernel, NodeLimitError)
 else:
     try:
-        from ._kernel_cy import (  # noqa: F401
+        from ._kernel_c import (  # noqa: F401
             BACKEND, OP_AND, OP_DIFF, OP_OR, OP_XOR, Kernel, NodeLimitError)
     except ImportError:
-        if _choice == "cy":
+        if _choice == "c":
             raise
         from ._kernel_py import (  # noqa: F401
             BACKEND, OP_AND, OP_DIFF, OP_OR, OP_XOR, Kernel, NodeLimitError)

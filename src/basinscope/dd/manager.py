@@ -21,9 +21,13 @@ def node_limit_from_env() -> int:
     raw = os.environ.get("BASINSCOPE_NODE_LIMIT")
     if raw is None:
         return DEFAULT_NODE_LIMIT
-    limit = int(raw)
+    message = f"BASINSCOPE_NODE_LIMIT must be a positive integer, got {raw!r}"
+    try:
+        limit = int(raw)
+    except ValueError:
+        raise ValueError(message) from None
     if limit <= 0:
-        raise ValueError("BASINSCOPE_NODE_LIMIT must be positive")
+        raise ValueError(message)
     return limit
 
 
@@ -112,13 +116,33 @@ class DdManager:
 
     def exists(self, slots, f: int) -> int:
         """Quantify a set of slot levels away."""
-        return self.kernel.exists_levels(frozenset(slots), f)
+        slots = frozenset(slots)
+        k = self.kernel
+        memo: dict[int, int] = {}
 
-    def exists_unprimed(self, f: int) -> int:
-        return self.kernel.exists_parity(0, f)
+        def rec(g: int) -> int:
+            if g < 2:
+                return g
+            cached = memo.get(g)
+            if cached is not None:
+                return cached
+            lvl = k.level_of(g)
+            r0, r1 = rec(k.low_of(g)), rec(k.high_of(g))
+            res = k.apply(OP_OR, r0, r1) if lvl in slots else k.mk(lvl, r0, r1)
+            memo[g] = res
+            return res
 
-    def exists_primed(self, f: int) -> int:
-        return self.kernel.exists_parity(1, f)
+        return rec(f)
+
+    def exists_unprimed(self, f: int, g: int = 1) -> int:
+        """Quantify the unprimed slots of f & g (g defaults to TRUE) without
+        building f & g."""
+        return self.kernel.and_exists(0, f, g)
+
+    def exists_primed(self, f: int, g: int = 1) -> int:
+        """Quantify the primed slots of f & g (g defaults to TRUE) without
+        building f & g."""
+        return self.kernel.and_exists(1, f, g)
 
     def rename_unprimed_to_primed(self, f: int) -> int:
         return self.kernel.shift(1, f)

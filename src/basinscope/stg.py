@@ -49,8 +49,7 @@ class TransitionSystem:
 
     def image_ref(self, x: int) -> int:
         m = self.manager
-        prod = m.apply(OP_AND, self.relation, x)
-        return m.rename_primed_to_unprimed(m.exists_unprimed(prod))
+        return m.rename_primed_to_unprimed(m.exists_unprimed(self.relation, x))
 
     def preimage_ref(self, x: int) -> int:
         cached = self._preimage_cache.get(x)
@@ -58,7 +57,7 @@ class TransitionSystem:
             return cached
         m = self.manager
         xp = m.rename_unprimed_to_primed(x)
-        res = m.exists_primed(m.apply(OP_AND, self.relation, xp))
+        res = m.exists_primed(self.relation, xp)
         self._preimage_cache[x] = res
         return res
 

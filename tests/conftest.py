@@ -31,3 +31,8 @@ def chain_ts(chain_net):
 @pytest.fixture
 def repressilator_ts():
     return build(parse_bnet(REPRESSILATOR), UpdateMode.ASYNC)
+
+
+def pytest_report_header(config):
+    from basinscope.dd import BACKEND
+    return f"basinscope kernel backend: {BACKEND}"

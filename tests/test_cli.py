@@ -142,3 +142,42 @@ def test_render_determinism(toggle_file, tmp_path):
     assert run(["render", "--bnet", toggle_file, "--dot", str(d1)]) == 0
     assert run(["render", "--bnet", toggle_file, "--dot", str(d2)]) == 0
     assert d1.read_text() == d2.read_text()
+
+
+def one_line_error(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    return captured.err
+
+
+def test_node_limit_is_one_line_error(chain_file, monkeypatch, capsys):
+    monkeypatch.setenv("BASINSCOPE_NODE_LIMIT", "4")
+    assert run(["basins", "--bnet", chain_file, "--json", "-"]) == 1
+    err = one_line_error(capsys)
+    assert "node limit 4" in err and "BASINSCOPE_NODE_LIMIT" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_node_limit_names_variable(value, toggle_file, monkeypatch,
+                                       capsys):
+    monkeypatch.setenv("BASINSCOPE_NODE_LIMIT", value)
+    assert run(["attractors", "--bnet", toggle_file, "--json", "-"]) == 1
+    err = one_line_error(capsys)
+    assert "BASINSCOPE_NODE_LIMIT" in err and repr(value) in err
+    assert "invalid literal" not in err
+
+
+@pytest.mark.parametrize("exc, words", [
+    (RecursionError, "maximum recursion depth exceeded"),
+    (MemoryError, "out of memory"),
+])
+def test_resource_errors_are_one_line(exc, words, toggle_file, monkeypatch,
+                                      capsys):
+    def exhausted(*args, **kwargs):
+        raise exc()
+
+    monkeypatch.setattr("basinscope.cli.build", exhausted)
+    assert run(["basins", "--bnet", toggle_file, "--json", "-"]) == 1
+    assert words in one_line_error(capsys)

@@ -41,6 +41,16 @@ def test_exists():
     assert m.exists({0, 2}, contradiction) == m.FALSE
 
 
+def test_exists_of_product_matches_exists_of_conjunction():
+    m = DdManager(2)
+    rel = m.or_(m.and_(m.var(0), m.not_(m.var_primed(1))),
+                m.and_(m.var_primed(0), m.var(1)))
+    x = m.or_(m.var(1), m.var_primed(1))
+    assert m.exists_primed(rel, x) == m.exists_primed(m.and_(rel, x))
+    assert m.exists_unprimed(rel, x) == m.exists_unprimed(m.and_(rel, x))
+    assert m.exists_primed(rel) == m.exists({1, 3}, rel)
+
+
 def test_rename_involution():
     m = DdManager(3)
     f = m.or_(m.and_(m.var(0), m.var(2)), m.not_(m.var(1)))

@@ -1,0 +1,173 @@
+"""Both kernel backends, run on the same operations, build the same nodes.
+
+The C kernel is compiled from its source into a temporary directory and
+loaded from there, so these tests run whether or not the package was built
+in place, and whichever backend the rest of the suite selected.
+"""
+
+import importlib.util
+import random
+import shutil
+import sysconfig
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from basinscope.attractors import attractors
+from basinscope.basins import basin_triples
+from basinscope.dd import _kernel_py, _select
+from basinscope.stg import build
+from oracle import random_network
+
+SOURCE = Path(_kernel_py.__file__).with_name("_kernel_c.c")
+
+
+@pytest.fixture(scope="session")
+def kernel_c(tmp_path_factory):
+    cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(cc) is None:
+        pytest.skip(f"no C compiler ({cc}) to build the C kernel")
+    from setuptools import Distribution, Extension
+
+    out = tmp_path_factory.mktemp("kernel_c")
+    dist = Distribution(
+        {"ext_modules": [Extension("_kernel_c", [str(SOURCE)])]})
+    cmd = dist.get_command_obj("build_ext")
+    cmd.build_lib = str(out)
+    cmd.build_temp = str(out / "tmp")
+    cmd.ensure_finalized()
+    cmd.run()
+    spec = importlib.util.spec_from_file_location(
+        "_kernel_c", cmd.get_ext_fullpath("_kernel_c"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.BACKEND == "c"
+    return module
+
+
+OPS = ("mk", "apply", "negate", "exists_parity", "shift", "and_exists")
+STEPS = st.lists(
+    st.tuples(st.sampled_from(OPS), st.integers(0, 3),
+              st.integers(0, 1 << 20), st.integers(0, 1 << 20),
+              st.integers(0, 1 << 20)),
+    max_size=120)
+
+
+def run_ops(kernel, steps):
+    """Apply the steps to the kernel; operands index the results so far,
+    which start with one node per level.  Returns every result (or error)
+    and the node table."""
+    pool = [0, 1]
+    trace = []
+    for level in range(kernel.num_levels):
+        try:
+            pool.append(kernel.var(level))
+        except MemoryError as exc:
+            trace.append((type(exc), str(exc)))
+    for name, small, a, b, c in steps:
+        f, g = pool[a % len(pool)], pool[b % len(pool)]
+        try:
+            if name == "mk":
+                # any level above both children keeps the diagram ordered
+                top = min(kernel.level_of(f), kernel.level_of(g))
+                if top == 0:
+                    continue
+                res = kernel.mk(c % top, f, g)
+            elif name == "apply":
+                res = kernel.apply(small, f, g)
+            elif name == "negate":
+                res = kernel.negate(f)
+            elif name == "exists_parity":
+                res = kernel.exists_parity(small % 2, f)
+            elif name == "shift":
+                res = kernel.shift(1 if small % 2 else -1, f)
+            else:
+                res = kernel.and_exists(small % 2, f, g)
+        except (ValueError, MemoryError) as exc:
+            trace.append((type(exc), str(exc)))
+            continue
+        pool.append(res)
+        trace.append(res)
+    return trace, node_table(kernel)
+
+
+def node_table(kernel):
+    return [(kernel.level_of(i), kernel.low_of(i), kernel.high_of(i))
+            for i in range(kernel.num_nodes())]
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps=STEPS, n_vars=st.integers(1, 4),
+       node_limit=st.one_of(st.none(), st.integers(2, 40)))
+def test_random_operations_match_node_for_node(kernel_c, steps, n_vars,
+                                               node_limit):
+    args = (n_vars,) if node_limit is None else (n_vars, node_limit)
+    expected = run_ops(_kernel_py.Kernel(*args), steps)
+    assert run_ops(kernel_c.Kernel(*args), steps) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=STEPS)
+def test_and_exists_is_exists_of_conjunction(kernel_c, steps):
+    for module in (_kernel_py, kernel_c):
+        kernel = module.Kernel(3)
+        trace, _ = run_ops(kernel, steps)
+        refs = [0, 1] + [r for r in trace if isinstance(r, int)][-6:]
+        for f in refs:
+            for g in refs:
+                for parity in (0, 1):
+                    conj = kernel.apply(_kernel_py.OP_AND, f, g)
+                    assert kernel.and_exists(parity, f, g) == \
+                        kernel.exists_parity(parity, conj)
+
+
+def test_and_exists_skips_high_branch_once_true(kernel_c):
+    """At a quantified level whose low branch already yields TRUE, the high
+    branch (which would build x1 & x2 here) is never computed."""
+    for module in (_kernel_py, kernel_c):
+        kernel = module.Kernel(4)
+        x1, x2, x1p, x3p = (kernel.var(lvl) for lvl in (2, 4, 3, 7))
+        high = kernel.apply(module.OP_AND, x1,
+                            kernel.apply(module.OP_AND, x2, x3p))
+        f = kernel.mk(1, 1, high)  # x0' -> x1 & x2 & x3'
+        g = kernel.mk(1, x1p, 1)   # x0' | x1'
+        before = kernel.num_nodes()
+        assert kernel.and_exists(1, f, g) == 1
+        assert kernel.num_nodes() == before
+
+
+def analyse(kernel_cls, monkeypatch, net, node_limit=None):
+    """Attractors and basins of net on the given kernel class; returns the
+    basin sizes, or the node-limit error, plus the node table."""
+    kernels = []
+
+    def make(*args):
+        kernels.append(kernel_cls(*args))
+        return kernels[-1]
+
+    monkeypatch.setattr(_select, "Kernel", make)
+    try:
+        ts = build(net, node_limit=node_limit)
+        sizes = [(t.weak_info.size, t.strong_info.size,
+                  t.cycle_free_info.size)
+                 for t in basin_triples(ts, attractors(ts))]
+    except _kernel_py.NodeLimitError as exc:
+        sizes = str(exc)
+    return sizes, node_table(kernels[0])
+
+
+@pytest.mark.parametrize("seed, n, node_limit", [
+    (4, 9, None), (2, 11, None), (2, 11, 5000)])
+def test_pipeline_matches_node_for_node(kernel_c, monkeypatch, seed, n,
+                                        node_limit):
+    """Whole analyses grow the C kernel's unique and computed tables past
+    their initial size, and the small limit stops both kernels mid-run."""
+    net = random_network(random.Random(seed), n)
+    expected = analyse(_kernel_py.Kernel, monkeypatch, net, node_limit)
+    if node_limit is None:
+        assert len(expected[1]) > 4096
+    else:
+        assert expected[0] == f"decision diagram exceeds node limit {node_limit}"
+    assert analyse(kernel_c.Kernel, monkeypatch, net, node_limit) == expected
