@@ -2,9 +2,10 @@
 
 Runs the same workload once per backend in a fresh subprocess (the backend
 is fixed at import time via BASINSCOPE_DD_BACKEND) and prints a comparison
-table.  The workload builds asynchronous transition systems for random
-networks, detects attractors and computes the three basins per attractor —
-the operations that dominate real analyses.
+table; it exits with status 1 when the backends disagree on node or
+attractor counts.  The workload builds asynchronous transition systems for
+random networks, detects attractors and computes the three basins per
+attractor — the operations that dominate real analyses.
 
 Usage: python3 benchmarks/bench_kernel.py [--networks N] [--vars V]
 """
@@ -87,6 +88,7 @@ def main():
     if (results[0]["nodes"], results[0]["attractors"]) != \
             (results[1]["nodes"], results[1]["attractors"]):
         print("  WARNING: backends disagree on node/attractor counts")
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .dd import OP_AND, OP_DIFF, StateSet
 from .model import Not, Var, make_and
-from .stg import TransitionSystem, steady_states as _steady
+from .stg import TransitionSystem, steady_states  # noqa: F401 - re-export
 
 
 class AttractorKind(enum.Enum):
@@ -34,8 +34,29 @@ class Attractor:
         return self.states.count()
 
 
-def steady_states(ts: TransitionSystem) -> StateSet:
-    return _steady(ts)
+def _scc(ts: TransitionSystem, pivot: int) -> tuple[int, int, int]:
+    """Forward closure of the pivot states, their SCC and the SCC's escape
+    (successors outside it); the SCC is an attractor iff escape is empty."""
+    m = ts.manager
+    fwd = ts.forward_reach_ref(pivot)
+    scc = m.apply(OP_AND, ts.backward_reach_ref(pivot), fwd)
+    return fwd, scc, m.apply(OP_DIFF, ts.image_ref(scc), scc)
+
+
+def _numbered(ts: TransitionSystem, entries) -> list[Attractor]:
+    """Attractors from (states, unverified) pairs, numbered from 1 in the
+    order of their smallest states."""
+    m = ts.manager
+    keyed = [(m.pick_min_state(ref), ref, unverified)
+             for ref, unverified in entries]
+    keyed.sort(key=lambda item: item[0])
+    result = []
+    for i, (rep, ref, unverified) in enumerate(keyed, start=1):
+        states = ts.set_of(ref)
+        kind = (AttractorKind.STEADY if states.count() == 1
+                else AttractorKind.CYCLIC)
+        result.append(Attractor(i, states, rep, kind, unverified=unverified))
+    return result
 
 
 def attractors(ts: TransitionSystem) -> list[Attractor]:
@@ -49,32 +70,21 @@ def attractors(ts: TransitionSystem) -> list[Attractor]:
     m = ts.manager
     candidates = ts.space_ref
     preferred = 0
-    found: list[int] = []
+    found: list[tuple[int, bool]] = []
     while candidates != 0:
         pool = m.apply(OP_AND, preferred, candidates)
         if pool == 0:
             pool = candidates
-        pivot = m.from_states([m.pick_min_state(pool)])
-        fwd = ts.forward_reach_ref(pivot)
-        scc = m.apply(OP_AND, ts.backward_reach_ref(pivot), fwd)
-        escape = m.apply(OP_DIFF, ts.image_ref(scc), scc)
+        fwd, scc, escape = _scc(ts, m.from_states([m.pick_min_state(pool)]))
         if escape == 0:
-            found.append(scc)
+            found.append((scc, False))
             candidates = m.apply(
                 OP_DIFF, candidates, ts.backward_reach_ref(scc))
             preferred = 0
         else:
             candidates = m.apply(OP_DIFF, candidates, scc)
             preferred = m.apply(OP_AND, m.apply(OP_DIFF, fwd, scc), candidates)
-    reps = [(m.pick_min_state(ref), ref) for ref in found]
-    reps.sort(key=lambda item: item[0])
-    result = []
-    for i, (rep, ref) in enumerate(reps, start=1):
-        states = ts.set_of(ref)
-        kind = (AttractorKind.STEADY if states.count() == 1
-                else AttractorKind.CYCLIC)
-        result.append(Attractor(i, states, rep, kind))
-    return result
+    return _numbered(ts, found)
 
 
 def _subspace_ref(ts: TransitionSystem, pattern: dict) -> int:
@@ -100,6 +110,7 @@ def import_attractors(ts: TransitionSystem, seeds) -> list[Attractor]:
     """
     m = ts.manager
     entries = []
+    seed_of: dict[int, str] = {}  # attractor diagram -> its first state seed
     for seed in seeds:
         if isinstance(seed, str):
             if len(seed) != ts.n or any(c not in "01" for c in seed):
@@ -107,9 +118,7 @@ def import_attractors(ts: TransitionSystem, seeds) -> list[Attractor]:
             pivot = m.from_states([seed])
             if m.apply(OP_AND, pivot, ts.space_ref) == 0:
                 raise AttractorError(f"seed {seed!r} lies outside the space")
-            fwd = ts.forward_reach_ref(pivot)
-            scc = m.apply(OP_AND, ts.backward_reach_ref(pivot), fwd)
-            escape = m.apply(OP_DIFF, ts.image_ref(scc), scc)
+            _, scc, escape = _scc(ts, pivot)
             if escape != 0:
                 y = m.pick_min_state(escape)
                 src = m.apply(OP_AND, ts.preimage_ref(m.from_states([y])), scc)
@@ -117,6 +126,11 @@ def import_attractors(ts: TransitionSystem, seeds) -> list[Attractor]:
                 raise AttractorError(
                     f"seed {seed!r}: SCC is not terminal, "
                     f"escaping transition {x} -> {y}")
+            if scc in seed_of:
+                raise AttractorError(
+                    f"seeds {seed_of[scc]!r} and {seed!r} lie in the same "
+                    "attractor")
+            seed_of[scc] = seed
             entries.append((scc, False))
         elif isinstance(seed, dict):
             ref = _subspace_ref(ts, seed)
@@ -126,16 +140,7 @@ def import_attractors(ts: TransitionSystem, seeds) -> list[Attractor]:
             entries.append((ref, True))
         else:
             raise AttractorError(f"unsupported seed {seed!r}")
-    keyed = [(m.pick_min_state(ref), ref, unverified)
-             for ref, unverified in entries]
-    keyed.sort(key=lambda item: item[0])
-    result = []
-    for i, (rep, ref, unverified) in enumerate(keyed, start=1):
-        states = ts.set_of(ref)
-        kind = (AttractorKind.STEADY if states.count() == 1
-                else AttractorKind.CYCLIC)
-        result.append(Attractor(i, states, rep, kind, unverified=unverified))
-    return result
+    return _numbered(ts, entries)
 
 
 def load_attractor_seeds(text: str) -> list:

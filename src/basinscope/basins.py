@@ -25,8 +25,8 @@ def strong_basin(ts: TransitionSystem, x: StateSet) -> StateSet:
 
 
 def cycle_free_basin(ts: TransitionSystem, y: StateSet) -> StateSet:
-    """States from which every path inevitably enters y (AF query on the
-    full attractor set)."""
+    """States from which every path inevitably enters y (AF query; basin
+    triples pass the attractor's own states)."""
     if y.is_empty():
         raise ValueError("cycle-free basin of the empty set")
     return ts.set_of(accept_ref(ts, AF(atom_states(y))))
@@ -41,7 +41,7 @@ class SizeInfo:
 @dataclass(frozen=True)
 class BasinTriple:
     """Weak/strong basins of the representative and cycle-free basin of the
-    full attractor set; the three sets are nested."""
+    attractor's own states; the three sets are nested."""
 
     attractor: Attractor
     weak: StateSet

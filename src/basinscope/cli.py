@@ -13,7 +13,7 @@ from . import report as report_mod
 from .attractors import (
     Attractor, attractors, import_attractors, load_attractor_seeds)
 from .ctl import CtlError, accept, parse_ctl, render_ctl
-from .dd import ExprStyle, NodeLimitError, node_limit_from_env
+from .dd import ExprStyle, NodeLimitError, node_limit_from_env, to_expression
 from .model import BnetError, detect_van_ham_pairs, parse_bnet, render_expr
 from .stg import UpdateMode, build
 
@@ -96,7 +96,6 @@ def _node_expressions(ts, diagram, style):
     names = ts.net.variables.names
     out = {}
     for key, node in diagram.nodes.items():
-        from .dd import to_expression
         out[key] = render_expr(
             to_expression(ts.manager, node.states.ref, style), names)
     return out
@@ -293,10 +292,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (BnetError, CtlError, ValueError) as exc:
+    except (DomainError, BnetError, CtlError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NodeLimitError as exc:

@@ -224,29 +224,15 @@ def accept_ref(ts: TransitionSystem, formula: CtlFormula) -> int:
     def compl(x: int) -> int:
         return m.apply(OP_DIFF, space, x)
 
-    def ex(x: int) -> int:
-        return m.apply(OP_AND, space, ts.preimage_ref(x))
-
-    def lfp_ef(x: int) -> int:
-        z = x
-        while True:
-            nz = m.apply(OP_OR, z, ex(z))
-            if nz == z:
-                return z
-            z = nz
+    # build() restricts the relation to space x space', so every preimage,
+    # and with it EX, EF and EU, already lies in the space
+    ex = ts.preimage_ref
+    ef = ts.backward_reach_ref
 
     def gfp_eg(x: int) -> int:
         z = x
         while True:
             nz = m.apply(OP_AND, z, ex(z))
-            if nz == z:
-                return z
-            z = nz
-
-    def lfp_eu(phi: int, psi: int) -> int:
-        z = psi
-        while True:
-            nz = m.apply(OP_OR, z, m.apply(OP_AND, phi, ex(z)))
             if nz == z:
                 return z
             z = nz
@@ -282,7 +268,7 @@ def accept_ref(ts: TransitionSystem, formula: CtlFormula) -> int:
             if f.op == "EX":
                 res = ex(x)
             elif f.op == "EF":
-                res = lfp_ef(x)
+                res = ef(x)
             elif f.op == "EG":
                 res = gfp_eg(x)
             elif f.op == "AX":
@@ -290,17 +276,17 @@ def accept_ref(ts: TransitionSystem, formula: CtlFormula) -> int:
             elif f.op == "AF":
                 res = compl(gfp_eg(compl(x)))
             elif f.op == "AG":
-                res = compl(lfp_ef(compl(x)))
+                res = compl(ef(compl(x)))
             else:
                 raise CtlError(f"unknown operator {f.op}")
         elif isinstance(f, Until):
             a, b = ev(f.left), ev(f.right)
             if f.op == "EU":
-                res = lfp_eu(a, b)
+                res = ef(b, within=a)
             else:  # AU = !(E[!b U (!a & !b)] | EG !b)
                 na, nb = compl(a), compl(b)
                 res = compl(m.apply(
-                    OP_OR, lfp_eu(nb, m.apply(OP_AND, na, nb)), gfp_eg(nb)))
+                    OP_OR, ef(m.apply(OP_AND, na, nb), within=nb), gfp_eg(nb)))
         else:
             raise CtlError(f"cannot evaluate {f!r}")
         memo[key] = res

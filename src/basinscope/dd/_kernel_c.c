@@ -473,13 +473,6 @@ static PyObject *Kernel_num_nodes(Kernel *self, PyObject *Py_UNUSED(ignored))
     return PyLong_FromLong(self->size);
 }
 
-static PyObject *Kernel_reset_cache(Kernel *self, PyObject *Py_UNUSED(ignored))
-{
-    if (self->cache != NULL)
-        cache_clear(self);
-    Py_RETURN_NONE;
-}
-
 static PyObject *Kernel_apply(Kernel *self, PyObject *const *args,
                               Py_ssize_t nargs)
 {
@@ -503,17 +496,6 @@ static PyObject *Kernel_negate(Kernel *self, PyObject *arg)
     if (Kernel_ready(self) < 0 || arg_node(self, arg, &f) < 0)
         return NULL;
     return node_result(apply(self, OP_XOR, f, 1));
-}
-
-static PyObject *Kernel_exists_parity(Kernel *self, PyObject *const *args,
-                                      Py_ssize_t nargs)
-{
-    int parity;
-    int32_t f;
-    if (Kernel_ready(self) < 0 || check_nargs("exists_parity", nargs, 2) < 0
-        || arg_parity(args[0], &parity) < 0 || arg_node(self, args[1], &f) < 0)
-        return NULL;
-    return node_result(exists_parity(self, parity, f));
 }
 
 static PyObject *Kernel_and_exists(Kernel *self, PyObject *const *args,
@@ -553,19 +535,14 @@ static PyMethodDef Kernel_methods[] = {
     {"low_of", (PyCFunction)Kernel_low_of, METH_O, NULL},
     {"high_of", (PyCFunction)Kernel_high_of, METH_O, NULL},
     {"num_nodes", (PyCFunction)Kernel_num_nodes, METH_NOARGS, NULL},
-    {"reset_cache", (PyCFunction)Kernel_reset_cache, METH_NOARGS,
-     "Drop every computed-table entry."},
     {"apply", (PyCFunction)(void (*)(void))Kernel_apply, METH_FASTCALL,
      "apply(op, f, g): binary Boolean operation."},
     {"negate", (PyCFunction)Kernel_negate, METH_O, NULL},
-    {"exists_parity", (PyCFunction)(void (*)(void))Kernel_exists_parity,
-     METH_FASTCALL,
-     "exists_parity(parity, f): quantify every level of the given parity "
-     "(0 = unprimed, 1 = primed)."},
     {"and_exists", (PyCFunction)(void (*)(void))Kernel_and_exists,
      METH_FASTCALL,
-     "and_exists(parity, f, g): exists_parity(parity, apply(OP_AND, f, g)) "
-     "without building the conjunction."},
+     "and_exists(parity, f, g): quantify every level of the given parity "
+     "(0 = unprimed, 1 = primed) from apply(OP_AND, f, g) without building "
+     "the conjunction; and_exists(parity, f, 1) quantifies f alone."},
     {"shift", (PyCFunction)(void (*)(void))Kernel_shift, METH_FASTCALL,
      "shift(delta, f): rename unprimed to primed slots (+1) or back (-1)."},
     {NULL, NULL, 0, NULL},

@@ -70,12 +70,6 @@ class Kernel:
     def num_nodes(self) -> int:
         return len(self._level)
 
-    def reset_cache(self):
-        self._apply_cache.clear()
-        self._exists_cache.clear()
-        self._and_exists_cache.clear()
-        self._shift_cache.clear()
-
     # -- Boolean operations ------------------------------------------------
 
     def apply(self, op: int, f: int, g: int) -> int:
@@ -137,7 +131,7 @@ class Kernel:
 
     # -- quantification ----------------------------------------------------
 
-    def exists_parity(self, parity: int, f: int) -> int:
+    def _exists_parity(self, parity: int, f: int) -> int:
         """Existentially quantify every level with the given parity
         (0 = all unprimed slots, 1 = all primed slots)."""
         if f < 2:
@@ -147,8 +141,8 @@ class Kernel:
         if cached is not None:
             return cached
         lf = self._level[f]
-        r0 = self.exists_parity(parity, self._low[f])
-        r1 = self.exists_parity(parity, self._high[f])
+        r0 = self._exists_parity(parity, self._low[f])
+        r1 = self._exists_parity(parity, self._high[f])
         if lf % 2 == parity:
             res = self.apply(OP_OR, r0, r1)
         else:
@@ -157,14 +151,15 @@ class Kernel:
         return res
 
     def and_exists(self, parity: int, f: int, g: int) -> int:
-        """Relational product: exists_parity(parity, apply(OP_AND, f, g))
-        in one recursion that never builds the conjunction f & g."""
+        """Relational product: _exists_parity(parity, apply(OP_AND, f, g))
+        in one recursion that never builds the conjunction f & g;
+        and_exists(parity, f, 1) is _exists_parity(parity, f)."""
         if f == 0 or g == 0:
             return 0
         if f == 1 or f == g:
-            return self.exists_parity(parity, g)
+            return self._exists_parity(parity, g)
         if g == 1:
-            return self.exists_parity(parity, f)
+            return self._exists_parity(parity, f)
         if f > g:
             f, g = g, f
         key = (parity, f, g)

@@ -69,25 +69,27 @@ class TransitionSystem:
 
     # -- reachability closures ---------------------------------------------
 
-    def forward_reach_ref(self, x: int) -> int:
+    def _reach(self, step, x: int, within: int | None = None) -> int:
+        """Least fixpoint of Z = x | (step(Z) & within), grown one frontier
+        at a time; step is image_ref or preimage_ref."""
         m = self.manager
         reached = x
         frontier = x
         while frontier != 0:
-            new = m.apply(OP_DIFF, self.image_ref(frontier), reached)
+            new = m.apply(OP_DIFF, step(frontier), reached)
+            if within is not None:
+                new = m.apply(OP_AND, new, within)
             reached = m.apply(OP_OR, reached, new)
             frontier = new
         return reached
 
-    def backward_reach_ref(self, x: int) -> int:
-        m = self.manager
-        reached = x
-        frontier = x
-        while frontier != 0:
-            new = m.apply(OP_DIFF, self.preimage_ref(frontier), reached)
-            reached = m.apply(OP_OR, reached, new)
-            frontier = new
-        return reached
+    def forward_reach_ref(self, x: int) -> int:
+        return self._reach(self.image_ref, x)
+
+    def backward_reach_ref(self, x: int, within: int | None = None) -> int:
+        """States of x plus those with a path into x whose states before
+        entering x all lie in within (everywhere when within is None)."""
+        return self._reach(self.preimage_ref, x, within)
 
     def forward_reach(self, x: StateSet) -> StateSet:
         return self.set_of(self.forward_reach_ref(x.ref))

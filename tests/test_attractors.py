@@ -50,6 +50,15 @@ def test_import_non_terminal_seed_rejected(toggle_ts):
         import_attractors(toggle_ts, ["00"])
 
 
+def test_import_seeds_in_one_attractor_rejected(repressilator_ts):
+    """Two seeds of one attractor would otherwise come back as two
+    attractors with the same states."""
+    first, *_, last = attractors(repressilator_ts)[0].states.states()
+    with pytest.raises(AttractorError, match=(
+            f"seeds '{first}' and '{last}' lie in the same attractor")):
+        import_attractors(repressilator_ts, [first, last])
+
+
 def test_import_subspace_pattern(toggle_ts):
     attrs = import_attractors(toggle_ts, [{"a": 1}])
     assert set(attrs[0].states.states()) == {"10", "11"}

@@ -119,6 +119,16 @@ def test_attractor_file_partial_mode(toggle_file, tmp_path, capsys):
         {"key": [1], "size": 1, "percent": 25.0, "expression": "a & !b"}]
 
 
+def test_duplicate_attractor_seeds_are_one_line_error(toggle_file, tmp_path,
+                                                      capsys):
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text('["10", "10"]')
+    assert run(["commitment", "--bnet", toggle_file,
+                "--attractor-file", str(seeds), "--json", "-"]) == 1
+    assert "seeds '10' and '10' lie in the same attractor" in \
+        one_line_error(capsys)
+
+
 @pytest.mark.parametrize("argv", [
     ["attractors", "--json", "-"],
     ["basins", "--json", "-"],

@@ -7,7 +7,7 @@ from basinscope.ctl import (
     parse_ctl)
 from basinscope.dd import ExprStyle
 from basinscope.model import eval_expr, render_expr
-from basinscope.stg import build
+from basinscope.stg import UpdateMode, build
 from oracle import explicit_stg, random_expr, random_network
 
 
@@ -114,15 +114,16 @@ def random_ctl(rng, n, depth):
     return Until(op, f, g), (op, of, og)
 
 
-def test_random_formulas_match_explicit_oracle():
+@pytest.mark.parametrize("mode", list(UpdateMode), ids=lambda m: m.value)
+def test_random_formulas_match_explicit_oracle(mode):
     rng = random.Random(17)
     from basinscope.model import eval_expr as ev
 
     for _ in range(30):
         n = rng.randrange(3, 7)
         net = random_network(rng, n)
-        ts = build(net)
-        adj = explicit_stg(net, "async")
+        ts = build(net, mode)
+        adj = explicit_stg(net, mode.value)
 
         def atom_eval(expr):
             return {s for s in adj

@@ -175,14 +175,6 @@ def test_isop_cover_is_irredundant(seed, n):
                 if covered(reduced, b)} != full
 
 
-def test_operation_cache_consistency_across_reset():
-    m = DdManager(3)
-    f = m.or_(m.var(0), m.and_(m.var(1), m.var(2)))
-    before = m.not_(f)
-    m.kernel.reset_cache()
-    assert m.not_(f) == before
-
-
 def test_apply_ops_against_python_semantics():
     m = DdManager(3)
     rng = random.Random(7)

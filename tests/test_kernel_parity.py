@@ -47,7 +47,7 @@ def kernel_c(tmp_path_factory):
     return module
 
 
-OPS = ("mk", "apply", "negate", "exists_parity", "shift", "and_exists")
+OPS = ("mk", "apply", "negate", "exists", "shift", "and_exists")
 STEPS = st.lists(
     st.tuples(st.sampled_from(OPS), st.integers(0, 3),
               st.integers(0, 1 << 20), st.integers(0, 1 << 20),
@@ -79,8 +79,8 @@ def run_ops(kernel, steps):
                 res = kernel.apply(small, f, g)
             elif name == "negate":
                 res = kernel.negate(f)
-            elif name == "exists_parity":
-                res = kernel.exists_parity(small % 2, f)
+            elif name == "exists":
+                res = kernel.and_exists(small % 2, f, 1)
             elif name == "shift":
                 res = kernel.shift(1 if small % 2 else -1, f)
             else:
@@ -120,7 +120,7 @@ def test_and_exists_is_exists_of_conjunction(kernel_c, steps):
                 for parity in (0, 1):
                     conj = kernel.apply(_kernel_py.OP_AND, f, g)
                     assert kernel.and_exists(parity, f, g) == \
-                        kernel.exists_parity(parity, conj)
+                        kernel.and_exists(parity, conj, 1)
 
 
 def test_and_exists_skips_high_branch_once_true(kernel_c):
