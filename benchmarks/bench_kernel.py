@@ -2,10 +2,11 @@
 
 Runs the same workload once per backend in a fresh subprocess (the backend
 is fixed at import time via BASINSCOPE_DD_BACKEND) and prints a comparison
-table; it exits with status 1 when the backends disagree on node or
-attractor counts.  The workload builds asynchronous transition systems for
-random networks, detects attractors and computes the three basins per
-attractor — the operations that dominate real analyses.
+table; it exits with status 1 when the backends disagree on node counts,
+attractor representatives or weak/strong/cycle-free basin sizes.  The
+workload builds asynchronous transition systems for random networks,
+detects attractors and computes the three basins per attractor — the
+operations that dominate real analyses.
 
 Usage: python3 benchmarks/bench_kernel.py [--networks N] [--vars V]
 """
@@ -35,20 +36,21 @@ def workload(networks: int, n_vars: int) -> dict:
     rng = random.Random(99)
     start = time.monotonic()
     nodes = 0
-    n_attrs = 0
+    found = []  # per attractor: representative, weak, strong, cycle-free size
     for _ in range(networks):
         net = random_network(rng, n_vars)
         ts = build(net)
         attrs = attractors(ts)
-        basin_triples(ts, attrs)
+        for a, t in zip(attrs, basin_triples(ts, attrs)):
+            found.append([a.representative, t.weak_info.size,
+                          t.strong_info.size, t.cycle_free_info.size])
         nodes += ts.manager.kernel.num_nodes()
-        n_attrs += len(attrs)
     return {
         "backend": backend,
         "seconds": round(time.monotonic() - start, 3),
         "networks": networks,
         "vars": n_vars,
-        "attractors": n_attrs,
+        "attractors": found,
         "nodes": nodes,
     }
 
@@ -82,12 +84,13 @@ def main():
           f"{args.vars} variables each (attractors + basins)")
     for r in results:
         print(f"  {r['backend']:>8}: {r['seconds']:8.3f} s "
-              f"({r['nodes']} nodes, {r['attractors']} attractors)")
+              f"({r['nodes']} nodes, {len(r['attractors'])} attractors)")
     speedup = results[0]["seconds"] / max(results[1]["seconds"], 1e-9)
     print(f"  speedup: {speedup:.2f}x")
     if (results[0]["nodes"], results[0]["attractors"]) != \
             (results[1]["nodes"], results[1]["attractors"]):
-        print("  WARNING: backends disagree on node/attractor counts")
+        print("  WARNING: backends disagree on node counts, attractor "
+              "representatives or basin sizes")
         sys.exit(1)
 
 

@@ -106,11 +106,12 @@ def import_attractors(ts: TransitionSystem, seeds) -> list[Attractor]:
 
     A bit-string seed names a state whose SCC is computed and verified
     terminal.  A dict seed is a subspace pattern used as an unverified
-    representative set (trap-space mode).
+    representative set (trap-space mode).  The sets of two seeds must not
+    share a state.
     """
     m = ts.manager
     entries = []
-    seed_of: dict[int, str] = {}  # attractor diagram -> its first state seed
+    accepted = []  # the seed of each entry
     for seed in seeds:
         if isinstance(seed, str):
             if len(seed) != ts.n or any(c not in "01" for c in seed):
@@ -126,11 +127,6 @@ def import_attractors(ts: TransitionSystem, seeds) -> list[Attractor]:
                 raise AttractorError(
                     f"seed {seed!r}: SCC is not terminal, "
                     f"escaping transition {x} -> {y}")
-            if scc in seed_of:
-                raise AttractorError(
-                    f"seeds {seed_of[scc]!r} and {seed!r} lie in the same "
-                    "attractor")
-            seed_of[scc] = seed
             entries.append((scc, False))
         elif isinstance(seed, dict):
             ref = _subspace_ref(ts, seed)
@@ -140,6 +136,20 @@ def import_attractors(ts: TransitionSystem, seeds) -> list[Attractor]:
             entries.append((ref, True))
         else:
             raise AttractorError(f"unsupported seed {seed!r}")
+        ref = entries[-1][0]
+        for (other, _), other_seed in zip(entries, accepted):
+            shared = m.apply(OP_AND, ref, other)
+            if shared == 0:
+                continue
+            if isinstance(seed, str) and isinstance(other_seed, str):
+                # two terminal SCCs that meet are the same attractor
+                raise AttractorError(
+                    f"seeds {other_seed!r} and {seed!r} lie in the same "
+                    "attractor")
+            raise AttractorError(
+                f"seeds {other_seed!r} and {seed!r} overlap in state "
+                f"{m.pick_min_state(shared)}")
+        accepted.append(seed)
     return _numbered(ts, entries)
 
 

@@ -6,7 +6,9 @@
  * (as in CUDD): a colliding store overwrites the old entry.  Recomputing an
  * evicted entry only revisits nodes that already exist, so node ids are the
  * same as with the unbounded caches of the pure-Python kernel.  The computed
- * table grows with the unique table up to CACHE_MAX_SLOTS entries.
+ * table grows with the unique table up to CACHE_MAX_SLOTS entries.  A
+ * parallel byte array records, per node, the slot parities that occur at or
+ * below it, so that the state-level walks reject primed diagrams in O(1).
  *
  * Every recursive routine returns a node id, or -1 with a Python exception
  * set.  No pointer into the node array or the computed table is held across
@@ -21,6 +23,9 @@
 #include <string.h>
 
 enum { OP_AND, OP_OR, OP_XOR, OP_DIFF };
+
+/* bits of the support array */
+enum { SUPPORT_UNPRIMED = 1, SUPPORT_PRIMED = 2 };
 
 /* computed-table tags; the parity or direction is added to the base */
 enum { TAG_EXISTS = 4, TAG_AND_EXISTS = 6, TAG_SHIFT = 8 };
@@ -44,6 +49,7 @@ typedef struct {
     int num_levels;
     long long node_limit;
     Node *nodes;
+    uint8_t *support;
     int32_t size, capacity;
     int32_t *buckets;
     uint32_t bucket_mask;
@@ -153,6 +159,12 @@ static int32_t mk(Kernel *k, int32_t level, int32_t low, int32_t high)
             return -1;
         }
         k->nodes = nodes;
+        uint8_t *support = realloc(k->support, (size_t)cap);
+        if (support == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        k->support = support;
         k->capacity = cap;
     }
     Node *nd = &k->nodes[id];
@@ -161,6 +173,7 @@ static int32_t mk(Kernel *k, int32_t level, int32_t low, int32_t high)
     nd->high = high;
     nd->next = k->buckets[h];
     k->buckets[h] = id;
+    k->support[id] = k->support[low] | k->support[high] | 1 << (level & 1);
     k->size = id + 1;
     if ((uint32_t)k->size > k->bucket_mask + 1)
         grow_tables(k);
@@ -301,6 +314,178 @@ static int32_t shift(Kernel *k, int delta, int32_t f)
     return res;
 }
 
+/* -- state-level walks over unprimed diagrams ----------------------------- *
+ * A state is a bit string over the n unprimed variables; the terminals'
+ * sentinel level 2n stands for variable index n. */
+
+static int check_unprimed(Kernel *k, int32_t f)
+{
+    if (!(k->support[f] & SUPPORT_PRIMED))
+        return 0;
+    PyErr_SetString(PyExc_ValueError, "diagram references primed slots");
+    return -1;
+}
+
+/* per-walk memo: open addressing on node ids >= 2 (0 marks a free slot) */
+typedef union {
+    uint64_t u;
+    PyObject *o;
+} Count;
+
+typedef struct {
+    int32_t *keys;
+    Count *vals;
+    uint32_t mask, used;
+} Memo;
+
+static int memo_init(Memo *m, uint32_t slots)
+{
+    m->keys = calloc(slots, sizeof(int32_t));
+    m->vals = malloc(slots * sizeof(Count));
+    m->mask = slots - 1;
+    m->used = 0;
+    if (m->keys != NULL && m->vals != NULL)
+        return 0;
+    free(m->keys);
+    free(m->vals);
+    m->keys = NULL;
+    m->vals = NULL;
+    PyErr_NoMemory();
+    return -1;
+}
+
+static uint32_t memo_slot(const Memo *m, int32_t key)
+{
+    uint32_t h = hash3((uint32_t)key, 0, 0) & m->mask;
+    while (m->keys[h] != 0 && m->keys[h] != key)
+        h = (h + 1) & m->mask;
+    return h;
+}
+
+static int memo_get(const Memo *m, int32_t key, Count *out)
+{
+    uint32_t h = memo_slot(m, key);
+    if (m->keys[h] == 0)
+        return 0;
+    *out = m->vals[h];
+    return 1;
+}
+
+/* insert a key that is not present; doubles the table at load 1/2 */
+static int memo_put(Memo *m, int32_t key, Count val)
+{
+    if (2 * (m->used + 1) > m->mask + 1) {
+        Memo big;
+        if (memo_init(&big, 2 * (m->mask + 1)) < 0)
+            return -1;
+        for (uint32_t i = 0; i <= m->mask; i++)
+            if (m->keys[i] != 0) {
+                uint32_t h = memo_slot(&big, m->keys[i]);
+                big.keys[h] = m->keys[i];
+                big.vals[h] = m->vals[i];
+            }
+        big.used = m->used;
+        free(m->keys);
+        free(m->vals);
+        *m = big;
+    }
+    uint32_t h = memo_slot(m, key);
+    m->keys[h] = key;
+    m->vals[h] = val;
+    m->used++;
+    return 0;
+}
+
+/* shift of a child's count into its parent's variable range */
+static inline int gap(Kernel *k, int32_t parent, int32_t child)
+{
+    return (k->nodes[child].level >> 1) - (k->nodes[parent].level >> 1) - 1;
+}
+
+/* count of g over the variables from its own index on, when n < 64 */
+static int count_u64(Kernel *k, Memo *memo, int32_t g, uint64_t *out)
+{
+    Count c;
+    if (g < 2) {
+        *out = (uint64_t)g;
+        return 0;
+    }
+    if (memo_get(memo, g, &c)) {
+        *out = c.u;
+        return 0;
+    }
+    Node nd = k->nodes[g];
+    uint64_t lo, hi;
+    if (count_u64(k, memo, nd.low, &lo) < 0
+        || count_u64(k, memo, nd.high, &hi) < 0)
+        return -1;
+    c.u = (lo << gap(k, g, nd.low)) + (hi << gap(k, g, nd.high));
+    *out = c.u;
+    return memo_put(memo, g, c);
+}
+
+/* the same with Python ints, for any n; returns a new reference, and the
+ * memo holds one more */
+static PyObject *count_big(Kernel *k, Memo *memo, int32_t g)
+{
+    Count c;
+    if (g < 2)
+        return PyLong_FromLong(g);
+    if (memo_get(memo, g, &c)) {
+        Py_INCREF(c.o);
+        return c.o;
+    }
+    Node nd = k->nodes[g];
+    int32_t kids[2] = {nd.low, nd.high};
+    PyObject *sum = PyLong_FromLong(0);
+    for (int b = 0; b < 2 && sum != NULL; b++) {
+        PyObject *sub = count_big(k, memo, kids[b]);
+        PyObject *by = sub == NULL ? NULL : PyLong_FromLong(gap(k, g, kids[b]));
+        PyObject *part = by == NULL ? NULL : PyNumber_Lshift(sub, by);
+        Py_XDECREF(sub);
+        Py_XDECREF(by);
+        PyObject *next = part == NULL ? NULL : PyNumber_Add(sum, part);
+        Py_XDECREF(part);
+        Py_DECREF(sum);
+        sum = next;
+    }
+    if (sum == NULL)
+        return NULL;
+    c.o = sum;
+    if (memo_put(memo, g, c) < 0) {
+        Py_DECREF(sum);
+        return NULL;
+    }
+    Py_INCREF(sum);
+    return sum;
+}
+
+static PyObject *count_states(Kernel *k, int32_t f)
+{
+    Memo memo;
+    PyObject *res = NULL;
+    int below = k->nodes[f].level >> 1;
+    if (memo_init(&memo, 64) < 0)
+        return NULL;
+    if (k->n < 64) {
+        uint64_t c;
+        if (count_u64(k, &memo, f, &c) == 0)
+            res = PyLong_FromUnsignedLongLong(c << below);
+    } else {
+        PyObject *c = count_big(k, &memo, f);
+        PyObject *by = c == NULL ? NULL : PyLong_FromLong(below);
+        res = by == NULL ? NULL : PyNumber_Lshift(c, by);
+        Py_XDECREF(c);
+        Py_XDECREF(by);
+        for (uint32_t i = 0; i <= memo.mask; i++)
+            if (memo.keys[i] != 0)
+                Py_DECREF(memo.vals[i].o);
+    }
+    free(memo.keys);
+    free(memo.vals);
+    return res;
+}
+
 /* -- Python argument conversion ------------------------------------------ */
 
 static int arg_int(PyObject *o, long *out)
@@ -357,9 +542,11 @@ static PyObject *node_result(int32_t r)
 static void Kernel_free_tables(Kernel *self)
 {
     free(self->nodes);
+    free(self->support);
     free(self->buckets);
     free(self->cache);
     self->nodes = NULL;
+    self->support = NULL;
     self->buckets = NULL;
     self->cache = NULL;
 }
@@ -382,9 +569,11 @@ static int Kernel_init(Kernel *self, PyObject *args, PyObject *kwds)
     self->node_limit = node_limit;
     self->capacity = INITIAL_SLOTS;
     self->nodes = malloc(INITIAL_SLOTS * sizeof(Node));
+    self->support = malloc(INITIAL_SLOTS);
     self->buckets = calloc(INITIAL_SLOTS, sizeof(int32_t));
     self->cache = malloc(INITIAL_SLOTS * sizeof(CacheEntry));
-    if (self->nodes == NULL || self->buckets == NULL || self->cache == NULL) {
+    if (self->nodes == NULL || self->support == NULL || self->buckets == NULL
+        || self->cache == NULL) {
         Kernel_free_tables(self);
         PyErr_NoMemory();
         return -1;
@@ -397,6 +586,7 @@ static int Kernel_init(Kernel *self, PyObject *args, PyObject *kwds)
         self->nodes[t].low = t;
         self->nodes[t].high = t;
         self->nodes[t].next = 0;
+        self->support[t] = 0;
     }
     self->size = 2;
     return 0;
@@ -527,6 +717,111 @@ static PyObject *Kernel_shift(Kernel *self, PyObject *const *args,
     return node_result(shift(self, (int)delta, f));
 }
 
+static PyObject *Kernel_support(Kernel *self, PyObject *arg)
+{
+    int32_t f;
+    if (Kernel_ready(self) < 0 || arg_node(self, arg, &f) < 0)
+        return NULL;
+    return PyLong_FromLong(self->support[f]);
+}
+
+static PyObject *Kernel_count_states(Kernel *self, PyObject *arg)
+{
+    int32_t f;
+    if (Kernel_ready(self) < 0 || arg_node(self, arg, &f) < 0
+        || check_unprimed(self, f) < 0)
+        return NULL;
+    return count_states(self, f);
+}
+
+static PyObject *Kernel_pick_min_state(Kernel *self, PyObject *arg)
+{
+    int32_t f;
+    if (Kernel_ready(self) < 0 || arg_node(self, arg, &f) < 0)
+        return NULL;
+    if (f == 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "cannot pick a state from the empty set");
+        return NULL;
+    }
+    if (check_unprimed(self, f) < 0)
+        return NULL;
+    PyObject *state = PyUnicode_New(self->n, 127);
+    if (state == NULL)
+        return NULL;
+    Py_UCS1 *bits = PyUnicode_1BYTE_DATA(state);
+    memset(bits, '0', (size_t)self->n);
+    while (f >= 2) {
+        Node nd = self->nodes[f];
+        if (nd.low != 0) {
+            f = nd.low;
+        } else {
+            bits[nd.level >> 1] = '1';
+            f = nd.high;
+        }
+    }
+    return state;
+}
+
+/* depth-first, low branch first, like _kernel_py.Kernel.states: an entry is
+ * the node for the variables from i on, reached with variable i - 1 set to
+ * c; at most one pending entry per variable plus two fresh ones */
+typedef struct {
+    int32_t g, i;
+    char c;
+} Visit;
+
+static PyObject *Kernel_states(Kernel *self, PyObject *arg)
+{
+    int32_t f;
+    if (Kernel_ready(self) < 0 || arg_node(self, arg, &f) < 0
+        || check_unprimed(self, f) < 0)
+        return NULL;
+    int n = self->n;
+    PyObject *out = PyList_New(0);
+    char *bits = malloc((size_t)n + 1);
+    Visit *stack = malloc(((size_t)n + 2) * sizeof(Visit));
+    if (out == NULL || bits == NULL || stack == NULL) {
+        if (out != NULL)
+            PyErr_NoMemory();
+        goto fail;
+    }
+    size_t top = 0;
+    if (f != 0)
+        stack[top++] = (Visit){f, 0, 0};
+    while (top > 0) {
+        Visit v = stack[--top];
+        if (v.i > 0)
+            bits[v.i - 1] = v.c;
+        if (v.i == n) {
+            PyObject *state = PyUnicode_FromStringAndSize(bits, n);
+            int err = state == NULL || PyList_Append(out, state) < 0;
+            Py_XDECREF(state);
+            if (err)
+                goto fail;
+            continue;
+        }
+        Node nd = self->nodes[v.g];
+        int32_t lo = v.g, hi = v.g;
+        if (nd.level == 2 * v.i) {
+            lo = nd.low;
+            hi = nd.high;
+        }
+        if (hi != 0)
+            stack[top++] = (Visit){hi, v.i + 1, '1'};
+        if (lo != 0)
+            stack[top++] = (Visit){lo, v.i + 1, '0'};
+    }
+    free(bits);
+    free(stack);
+    return out;
+fail:
+    free(bits);
+    free(stack);
+    Py_XDECREF(out);
+    return NULL;
+}
+
 static PyMethodDef Kernel_methods[] = {
     {"mk", (PyCFunction)(void (*)(void))Kernel_mk, METH_FASTCALL,
      "mk(level, low, high): the node (level, low, high), reduced."},
@@ -535,6 +830,9 @@ static PyMethodDef Kernel_methods[] = {
     {"low_of", (PyCFunction)Kernel_low_of, METH_O, NULL},
     {"high_of", (PyCFunction)Kernel_high_of, METH_O, NULL},
     {"num_nodes", (PyCFunction)Kernel_num_nodes, METH_NOARGS, NULL},
+    {"support", (PyCFunction)Kernel_support, METH_O,
+     "support(f): slot parities occurring in f, as SUPPORT_UNPRIMED | "
+     "SUPPORT_PRIMED bits."},
     {"apply", (PyCFunction)(void (*)(void))Kernel_apply, METH_FASTCALL,
      "apply(op, f, g): binary Boolean operation."},
     {"negate", (PyCFunction)Kernel_negate, METH_O, NULL},
@@ -545,6 +843,12 @@ static PyMethodDef Kernel_methods[] = {
      "the conjunction; and_exists(parity, f, 1) quantifies f alone."},
     {"shift", (PyCFunction)(void (*)(void))Kernel_shift, METH_FASTCALL,
      "shift(delta, f): rename unprimed to primed slots (+1) or back (-1)."},
+    {"count_states", (PyCFunction)Kernel_count_states, METH_O,
+     "count_states(f): number of satisfying states of an unprimed diagram."},
+    {"pick_min_state", (PyCFunction)Kernel_pick_min_state, METH_O,
+     "pick_min_state(f): lexicographically smallest satisfying state."},
+    {"states", (PyCFunction)Kernel_states, METH_O,
+     "states(f): satisfying states as bit strings, in lexicographic order."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -600,7 +904,9 @@ PyMODINIT_FUNC PyInit__kernel_c(void)
         || PyModule_AddIntConstant(m, "OP_AND", OP_AND) < 0
         || PyModule_AddIntConstant(m, "OP_OR", OP_OR) < 0
         || PyModule_AddIntConstant(m, "OP_XOR", OP_XOR) < 0
-        || PyModule_AddIntConstant(m, "OP_DIFF", OP_DIFF) < 0) {
+        || PyModule_AddIntConstant(m, "OP_DIFF", OP_DIFF) < 0
+        || PyModule_AddIntConstant(m, "SUPPORT_UNPRIMED", SUPPORT_UNPRIMED) < 0
+        || PyModule_AddIntConstant(m, "SUPPORT_PRIMED", SUPPORT_PRIMED) < 0) {
         Py_DECREF(m);
         return NULL;
     }

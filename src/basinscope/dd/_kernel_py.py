@@ -2,7 +2,9 @@
 
 Node ids are small ints; 0 and 1 are the FALSE/TRUE terminals.  Levels are
 interleaved: model variable i occupies level 2i (unprimed) and 2i+1
-(primed).  Terminals sit at the sentinel level 2n.
+(primed).  Terminals sit at the sentinel level 2n.  Every node records the
+slot parities that occur at or below it, so that the state-level walks can
+reject a diagram with primed slots without walking it.
 """
 
 from __future__ import annotations
@@ -13,6 +15,10 @@ OP_AND = 0
 OP_OR = 1
 OP_XOR = 2
 OP_DIFF = 3
+
+# bits of Kernel.support
+SUPPORT_UNPRIMED = 1
+SUPPORT_PRIMED = 2
 
 
 class NodeLimitError(MemoryError):
@@ -28,6 +34,7 @@ class Kernel:
         self._level = [sentinel, sentinel]
         self._low = [0, 1]
         self._high = [0, 1]
+        self._support = [0, 0]
         self._unique: dict[tuple[int, int, int], int] = {}
         self._apply_cache: dict[tuple[int, int, int], int] = {}
         self._exists_cache: dict[tuple[int, int], int] = {}
@@ -50,6 +57,8 @@ class Kernel:
         self._level.append(level)
         self._low.append(low)
         self._high.append(high)
+        self._support.append(
+            self._support[low] | self._support[high] | 1 << (level & 1))
         self._unique[key] = node
         return node
 
@@ -69,6 +78,11 @@ class Kernel:
 
     def num_nodes(self) -> int:
         return len(self._level)
+
+    def support(self, f: int) -> int:
+        """Slot parities occurring in f, as SUPPORT_UNPRIMED | SUPPORT_PRIMED
+        bits."""
+        return self._support[f]
 
     # -- Boolean operations ------------------------------------------------
 
@@ -212,3 +226,74 @@ class Kernel:
                       self.shift(delta, self._high[f]))
         self._shift_cache[key] = res
         return res
+
+    # -- state-level walks over unprimed diagrams (iterative) --------------
+
+    def _check_unprimed(self, f: int):
+        if self._support[f] & SUPPORT_PRIMED:
+            raise ValueError("diagram references primed slots")
+
+    def count_states(self, f: int) -> int:
+        """Number of satisfying states over the n unprimed variables."""
+        self._check_unprimed(f)
+        level, low, high = self._level, self._low, self._high
+        # memo[g] counts the assignments to the variables from level[g] // 2
+        # on; the terminals' sentinel level 2n stands for index n
+        memo = {0: 0, 1: 1}
+        stack = [f]
+        while stack:
+            g = stack[-1]
+            if g in memo:
+                stack.pop()
+                continue
+            lo, hi = low[g], high[g]
+            if lo in memo and hi in memo:
+                below = (level[g] >> 1) + 1
+                memo[g] = ((memo[lo] << ((level[lo] >> 1) - below))
+                           + (memo[hi] << ((level[hi] >> 1) - below)))
+                stack.pop()
+            else:
+                stack.append(lo)
+                stack.append(hi)
+        return memo[f] << (level[f] >> 1)
+
+    def pick_min_state(self, f: int) -> str:
+        """Lexicographically smallest satisfying state (0 < 1)."""
+        if f == 0:
+            raise ValueError("cannot pick a state from the empty set")
+        self._check_unprimed(f)
+        bits = ["0"] * self.n
+        while f >= 2:
+            if self._low[f] != 0:
+                f = self._low[f]
+            else:
+                bits[self._level[f] >> 1] = "1"
+                f = self._high[f]
+        return "".join(bits)
+
+    def states(self, f: int) -> list[str]:
+        """Satisfying states as bit strings, in lexicographic order."""
+        self._check_unprimed(f)
+        n = self.n
+        level, low, high = self._level, self._low, self._high
+        out = []
+        bits = ["0"] * n
+        # depth-first, low branch first; an entry (g, i, c) is the node g
+        # for the variables from i on, reached with variable i - 1 set to c
+        stack = [(f, 0, "")] if f != 0 else []
+        while stack:
+            g, i, c = stack.pop()
+            if i:
+                bits[i - 1] = c
+            if i == n:
+                out.append("".join(bits))
+                continue
+            if level[g] == 2 * i:
+                lo, hi = low[g], high[g]
+            else:
+                lo = hi = g
+            if hi != 0:
+                stack.append((hi, i + 1, "1"))
+            if lo != 0:
+                stack.append((lo, i + 1, "0"))
+        return out

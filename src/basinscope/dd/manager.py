@@ -11,6 +11,7 @@ OP_AND = _kernel.OP_AND
 OP_OR = _kernel.OP_OR
 OP_XOR = _kernel.OP_XOR
 OP_DIFF = _kernel.OP_DIFF
+SUPPORT_PRIMED = _kernel.SUPPORT_PRIMED
 
 NodeLimitError = _kernel.NodeLimitError
 
@@ -156,75 +157,19 @@ class DdManager:
         k = self.kernel
         return k.level_of(f), k.low_of(f), k.high_of(f)
 
-    def support_levels(self, f: int) -> frozenset:
-        out = set()
-        k = self.kernel
-        seen = set()
-        stack = [f]
-        while stack:
-            g = stack.pop()
-            if g < 2 or g in seen:
-                continue
-            seen.add(g)
-            out.add(k.level_of(g))
-            stack.append(k.low_of(g))
-            stack.append(k.high_of(g))
-        return frozenset(out)
-
     def _check_unprimed(self, f: int):
-        for lvl in self.support_levels(f):
-            if lvl % 2:
-                raise ValueError("diagram references primed slots")
+        if self.kernel.support(f) & SUPPORT_PRIMED:
+            raise ValueError("diagram references primed slots")
 
-    # -- state-level operations --------------------------------------------
+    # -- state-level operations (walked by the kernel) ---------------------
 
-    def count_states(self, f: int, n: int | None = None) -> int:
+    def count_states(self, f: int) -> int:
         """Number of satisfying states over the n unprimed model variables."""
-        if n is None:
-            n = self.n
-        self._check_unprimed(f)
-        k = self.kernel
+        return self.kernel.count_states(f)
 
-        def vidx(g: int) -> int:
-            lvl = k.level_of(g)
-            return n if g < 2 else lvl // 2
-
-        memo: dict[int, int] = {0: 0, 1: 1}
-
-        def rec(g: int) -> int:
-            cached = memo.get(g)
-            if cached is not None:
-                return cached
-            i = vidx(g)
-            lo, hi = k.low_of(g), k.high_of(g)
-            res = (rec(lo) << (vidx(lo) - i - 1)) + (rec(hi) << (vidx(hi) - i - 1))
-            memo[g] = res
-            return res
-
-        return rec(f) << vidx(f)
-
-    def pick_min_state(self, f: int, n: int | None = None) -> str:
+    def pick_min_state(self, f: int) -> str:
         """Lexicographically smallest satisfying state (0 < 1)."""
-        if f == 0:
-            raise ValueError("cannot pick a state from the empty set")
-        if n is None:
-            n = self.n
-        self._check_unprimed(f)
-        k = self.kernel
-        bits = []
-        cur = f
-        for i in range(n):
-            if cur >= 2 and k.level_of(cur) == 2 * i:
-                lo = k.low_of(cur)
-                if lo != 0:
-                    bits.append("0")
-                    cur = lo
-                else:
-                    bits.append("1")
-                    cur = k.high_of(cur)
-            else:
-                bits.append("0")
-        return "".join(bits)
+        return self.kernel.pick_min_state(f)
 
     def eval_state(self, f: int, bits) -> int:
         """Membership test of a concrete state (unprimed diagram)."""
@@ -235,30 +180,10 @@ class DdManager:
             cur = k.high_of(cur) if bits[lvl // 2] else k.low_of(cur)
         return cur
 
-    def iter_states(self, f: int, n: int | None = None):
-        """Yield satisfying states as bit strings, in lexicographic order."""
-        if n is None:
-            n = self.n
-        self._check_unprimed(f)
-        k = self.kernel
-
-        def rec(g: int, i: int, prefix: list):
-            if g == 0:
-                return
-            if i == n:
-                yield "".join(prefix)
-                return
-            if g >= 2 and k.level_of(g) == 2 * i:
-                lo, hi = k.low_of(g), k.high_of(g)
-            else:
-                lo = hi = g
-            prefix.append("0")
-            yield from rec(lo, i + 1, prefix)
-            prefix[-1] = "1"
-            yield from rec(hi, i + 1, prefix)
-            prefix.pop()
-
-        yield from rec(f, 0, [])
+    def iter_states(self, f: int):
+        """Iterate over the satisfying states as bit strings, in
+        lexicographic order."""
+        return iter(self.kernel.states(f))
 
 
 class StateSet:

@@ -239,6 +239,10 @@ def diagram_to_json(diagram: Diagram, expressions: dict | None = None) -> dict:
 # ---------------------------------------------------------------------------
 # trajectory-based phenotype reachability
 
+# Most states a simulation keeps in each of its step and start-state tables;
+# a state past the limit is computed again on every visit.
+STEP_TABLE_LIMIT = 1 << 16
+
 
 @dataclass
 class SimulationResult:
@@ -277,43 +281,51 @@ def simulate_phenotype_reachability(
     cap = 64 * (1 << min(n, 20))
     counts: dict[int, int] = {p.index: 0 for p in phenotypes}
     capped = 0
-
-    def in_attractor(bits) -> int | None:
-        for idx, ref in attractor_refs:
-            if m.eval_state(ref, bits):
-                return idx
-        return None
-
     sync = ts.mode is UpdateMode.SYNC
+    # state -> (attractor hit, successors): walks revisit the same states
+    steps_of: dict[tuple[int, ...], tuple] = {}
+    admissible: dict[tuple[int, ...], int] = {}
+
+    def step(x: tuple[int, ...]) -> tuple:
+        """The first attractor (in attrs order) containing x, else None, and
+        the admissible successors of x in ascending variable order."""
+        known = steps_of.get(x)
+        if known is not None:
+            return known
+        hit = next((idx for idx, ref in attractor_refs
+                    if m.eval_state(ref, x)), None)
+        succs = ()
+        if hit is None:
+            fx = tuple(eval_expr(u, x) for u in updates)
+            if sync:
+                candidates = [fx]
+            else:
+                candidates = [x[:i] + fx[i:i + 1] + x[i + 1:]
+                              for i in range(n) if fx[i] != x[i]]
+            succs = tuple(y for y in candidates if m.eval_state(space_ref, y))
+        if len(steps_of) < STEP_TABLE_LIMIT:
+            steps_of[x] = (hit, succs)
+        return hit, succs
+
     for w in range(walks):
         rng = random.Random(f"{rng_seed}:{w}")
         # uniform admissible start state by rejection
         while True:
-            bits = [rng.randrange(2) for _ in range(n)]
-            if m.eval_state(space_ref, bits):
+            bits = tuple(rng.randrange(2) for _ in range(n))
+            ok = admissible.get(bits)
+            if ok is None:
+                ok = m.eval_state(space_ref, bits)
+                if len(admissible) < STEP_TABLE_LIMIT:
+                    admissible[bits] = ok
+            if ok:
                 break
         steps = 0
-        hit = None
         while True:
-            hit = in_attractor(bits)
-            if hit is not None or steps >= cap:
+            hit, succs = step(bits)
+            # no successor outside every attractor is a totalized self-loop
+            # of a partial unit list: the walk counts as capped
+            if hit is not None or steps >= cap or not succs:
                 break
-            fx = [eval_expr(u, bits) for u in updates]
-            if sync:
-                succs = [fx] if m.eval_state(space_ref, fx) else []
-            else:
-                succs = []
-                for i in range(n):
-                    if fx[i] != bits[i]:
-                        y = list(bits)
-                        y[i] = fx[i]
-                        if m.eval_state(space_ref, y):
-                            succs.append(y)
-            if not succs:
-                # totalized self-loop; no attractor membership means the
-                # unit list is partial -- treat as a capped walk
-                steps = cap
-                continue
             bits = succs[rng.randrange(len(succs))]
             steps += 1
         if hit is None:

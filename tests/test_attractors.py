@@ -59,6 +59,18 @@ def test_import_seeds_in_one_attractor_rejected(repressilator_ts):
         import_attractors(repressilator_ts, [first, last])
 
 
+@pytest.mark.parametrize("seeds, message", [
+    ([{"a": 1}, "10"], "seeds {'a': 1} and '10' overlap in state 10"),
+    ([{"a": 1}, {"b": 0}], "seeds {'a': 1} and {'b': 0} overlap in state 10"),
+])
+def test_import_overlapping_seeds_rejected(toggle_ts, seeds, message):
+    """Overlapping seeds would otherwise come back as two attractors that
+    share states."""
+    with pytest.raises(AttractorError) as info:
+        import_attractors(toggle_ts, seeds)
+    assert str(info.value) == message
+
+
 def test_import_subspace_pattern(toggle_ts):
     attrs = import_attractors(toggle_ts, [{"a": 1}])
     assert set(attrs[0].states.states()) == {"10", "11"}

@@ -129,6 +129,16 @@ def test_duplicate_attractor_seeds_are_one_line_error(toggle_file, tmp_path,
         one_line_error(capsys)
 
 
+def test_overlapping_attractor_seeds_are_one_line_error(toggle_file, tmp_path,
+                                                        capsys):
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text('[{"a": 1}, "10"]')
+    assert run(["commitment", "--bnet", toggle_file,
+                "--attractor-file", str(seeds), "--json", "-"]) == 1
+    assert "seeds {'a': 1} and '10' overlap in state 10" in \
+        one_line_error(capsys)
+
+
 @pytest.mark.parametrize("argv", [
     ["attractors", "--json", "-"],
     ["basins", "--json", "-"],

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
+from basinscope import diagrams
 from basinscope.attractors import attractors, import_attractors
 from basinscope.basins import strong_basin
 from basinscope.diagrams import (
     commitment_diagram, commitment_sets, compute_phenotypes, diagram_to_json,
     phenotype_diagram, phenotype_of, simulate_phenotype_reachability)
-from basinscope.stg import build
+from basinscope.stg import UpdateMode, build
 from oracle import (
     commitment_blocks, explicit_stg, phenotype_blocks, quotient_edges,
     random_network, terminal_sccs)
@@ -163,3 +164,19 @@ def test_simulation_deterministic(toggle_ts):
     r1 = simulate_phenotype_reachability(toggle_ts, phenos, attrs, 2000, 7)
     r2 = simulate_phenotype_reachability(toggle_ts, phenos, attrs, 2000, 7)
     assert r1.frequencies == r2.frequencies
+
+
+@pytest.mark.parametrize("mode", [UpdateMode.ASYNC, UpdateMode.SYNC])
+def test_simulation_step_table_limit_changes_nothing(mode, monkeypatch):
+    """States past the step-table limit are computed again on each visit,
+    with the same result; the partial unit list also caps walks."""
+    ts = build(random_network(random.Random(2), 5), mode)
+    attrs = attractors(ts)
+    phenos = compute_phenotypes(ts, attrs[:1], ["v0"])
+    runs = []
+    for limit in (diagrams.STEP_TABLE_LIMIT, 0):
+        monkeypatch.setattr(diagrams, "STEP_TABLE_LIMIT", limit)
+        res = simulate_phenotype_reachability(ts, phenos, attrs[:1], 100, 5)
+        runs.append((res.frequencies, res.capped))
+    assert runs[0] == runs[1]
+    assert runs[0][1] > 0

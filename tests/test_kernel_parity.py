@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from basinscope.attractors import attractors
 from basinscope.basins import basin_triples
-from basinscope.dd import _kernel_py, _select
+from basinscope.dd import DdManager, _kernel_py, _select
 from basinscope.stg import build
 from oracle import random_network
 
@@ -136,6 +136,68 @@ def test_and_exists_skips_high_branch_once_true(kernel_c):
         before = kernel.num_nodes()
         assert kernel.and_exists(1, f, g) == 1
         assert kernel.num_nodes() == before
+
+
+def walks(kernel, f):
+    """Support of f and its state-level walks, or the errors they raise."""
+    out = [kernel.support(f)]
+    for walk in (kernel.count_states, kernel.pick_min_state, kernel.states):
+        try:
+            out.append(walk(f))
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(steps=STEPS, n_vars=st.integers(1, 4))
+def test_state_walks_match(kernel_c, steps, n_vars):
+    results = []
+    for module in (_kernel_py, kernel_c):
+        kernel = module.Kernel(n_vars)
+        run_ops(kernel, steps)
+        results.append([walks(kernel, f) for f in range(kernel.num_nodes())])
+    assert results[0] == results[1]
+    for support, count, pick, states in results[0]:
+        if not support & _kernel_py.SUPPORT_PRIMED:
+            assert count == len(states)
+            assert states == sorted(states)
+            assert pick == (states[0] if states else
+                            "cannot pick a state from the empty set")
+
+
+@pytest.fixture(params=["py", "c"])
+def manager_on(request, monkeypatch):
+    """DdManager factory on the named kernel backend."""
+    module = (_kernel_py if request.param == "py"
+              else request.getfixturevalue("kernel_c"))
+    monkeypatch.setattr(_select, "Kernel", module.Kernel)
+    return DdManager
+
+
+def test_walks_of_a_deep_diagram(manager_on):
+    """A 1200-variable cube is deeper than Python's recursion limit."""
+    n = 1200
+    m = manager_on(n)
+    cube = m.cube_from_state([1] * n)
+    assert m.count_states(cube) == 1
+    assert m.pick_min_state(cube) == "1" * n
+    assert list(m.iter_states(cube)) == ["1" * n]
+    others = 0  # every state but the cube: some variable is 0
+    for i in reversed(range(n)):
+        others = m.kernel.mk(2 * i, 1, others)
+    assert m.count_states(others) == 2 ** n - 1
+    assert m.pick_min_state(others) == "0" * n
+
+
+def test_walks_reject_a_deep_primed_node(manager_on):
+    m = manager_on(4)
+    k = m.kernel
+    f = k.mk(0, k.mk(2, 0, k.mk(4, 1, k.var(7))), 1)
+    assert m.node(f)[0] == 0
+    for walk in (m.count_states, m.pick_min_state, m.iter_states):
+        with pytest.raises(ValueError, match="primed"):
+            walk(f)
 
 
 def analyse(kernel_cls, monkeypatch, net, node_limit=None):
