@@ -7,7 +7,7 @@
  * evicted entry only revisits nodes that already exist, so node ids are the
  * same as with the unbounded caches of the pure-Python kernel.  The computed
  * table grows with the unique table up to CACHE_MAX_SLOTS entries.  A
- * parallel byte array records, per node, the slot parities that occur at or
+ * parallel byte array records, per node, whether a primed slot occurs at or
  * below it, so that the state-level walks reject primed diagrams in O(1).
  *
  * Every recursive routine returns a node id, or -1 with a Python exception
@@ -23,9 +23,6 @@
 #include <string.h>
 
 enum { OP_AND, OP_OR, OP_XOR, OP_DIFF };
-
-/* bits of the support array */
-enum { SUPPORT_UNPRIMED = 1, SUPPORT_PRIMED = 2 };
 
 /* computed-table tags; the parity or direction is added to the base */
 enum { TAG_EXISTS = 4, TAG_AND_EXISTS = 6, TAG_SHIFT = 8 };
@@ -49,7 +46,7 @@ typedef struct {
     int num_levels;
     long long node_limit;
     Node *nodes;
-    uint8_t *support;
+    uint8_t *primed;
     int32_t size, capacity;
     int32_t *buckets;
     uint32_t bucket_mask;
@@ -159,12 +156,12 @@ static int32_t mk(Kernel *k, int32_t level, int32_t low, int32_t high)
             return -1;
         }
         k->nodes = nodes;
-        uint8_t *support = realloc(k->support, (size_t)cap);
-        if (support == NULL) {
+        uint8_t *primed = realloc(k->primed, (size_t)cap);
+        if (primed == NULL) {
             PyErr_NoMemory();
             return -1;
         }
-        k->support = support;
+        k->primed = primed;
         k->capacity = cap;
     }
     Node *nd = &k->nodes[id];
@@ -173,7 +170,7 @@ static int32_t mk(Kernel *k, int32_t level, int32_t low, int32_t high)
     nd->high = high;
     nd->next = k->buckets[h];
     k->buckets[h] = id;
-    k->support[id] = k->support[low] | k->support[high] | 1 << (level & 1);
+    k->primed[id] = k->primed[low] | k->primed[high] | (level & 1);
     k->size = id + 1;
     if ((uint32_t)k->size > k->bucket_mask + 1)
         grow_tables(k);
@@ -320,28 +317,24 @@ static int32_t shift(Kernel *k, int delta, int32_t f)
 
 static int check_unprimed(Kernel *k, int32_t f)
 {
-    if (!(k->support[f] & SUPPORT_PRIMED))
+    if (!k->primed[f])
         return 0;
     PyErr_SetString(PyExc_ValueError, "diagram references primed slots");
     return -1;
 }
 
-/* per-walk memo: open addressing on node ids >= 2 (0 marks a free slot) */
-typedef union {
-    uint64_t u;
-    PyObject *o;
-} Count;
-
+/* per-walk memo: open addressing on node ids >= 2 (0 marks a free slot);
+ * each value is a reference owned by the memo */
 typedef struct {
     int32_t *keys;
-    Count *vals;
+    PyObject **vals;
     uint32_t mask, used;
 } Memo;
 
 static int memo_init(Memo *m, uint32_t slots)
 {
     m->keys = calloc(slots, sizeof(int32_t));
-    m->vals = malloc(slots * sizeof(Count));
+    m->vals = malloc(slots * sizeof(PyObject *));
     m->mask = slots - 1;
     m->used = 0;
     if (m->keys != NULL && m->vals != NULL)
@@ -362,17 +355,8 @@ static uint32_t memo_slot(const Memo *m, int32_t key)
     return h;
 }
 
-static int memo_get(const Memo *m, int32_t key, Count *out)
-{
-    uint32_t h = memo_slot(m, key);
-    if (m->keys[h] == 0)
-        return 0;
-    *out = m->vals[h];
-    return 1;
-}
-
 /* insert a key that is not present; doubles the table at load 1/2 */
-static int memo_put(Memo *m, int32_t key, Count val)
+static int memo_put(Memo *m, int32_t key, PyObject *val)
 {
     if (2 * (m->used + 1) > m->mask + 1) {
         Memo big;
@@ -396,51 +380,25 @@ static int memo_put(Memo *m, int32_t key, Count val)
     return 0;
 }
 
-/* shift of a child's count into its parent's variable range */
-static inline int gap(Kernel *k, int32_t parent, int32_t child)
+/* count of g over the variables from its own index on, as a new
+ * reference; the memo holds one more */
+static PyObject *count(Kernel *k, Memo *memo, int32_t g)
 {
-    return (k->nodes[child].level >> 1) - (k->nodes[parent].level >> 1) - 1;
-}
-
-/* count of g over the variables from its own index on, when n < 64 */
-static int count_u64(Kernel *k, Memo *memo, int32_t g, uint64_t *out)
-{
-    Count c;
-    if (g < 2) {
-        *out = (uint64_t)g;
-        return 0;
-    }
-    if (memo_get(memo, g, &c)) {
-        *out = c.u;
-        return 0;
-    }
-    Node nd = k->nodes[g];
-    uint64_t lo, hi;
-    if (count_u64(k, memo, nd.low, &lo) < 0
-        || count_u64(k, memo, nd.high, &hi) < 0)
-        return -1;
-    c.u = (lo << gap(k, g, nd.low)) + (hi << gap(k, g, nd.high));
-    *out = c.u;
-    return memo_put(memo, g, c);
-}
-
-/* the same with Python ints, for any n; returns a new reference, and the
- * memo holds one more */
-static PyObject *count_big(Kernel *k, Memo *memo, int32_t g)
-{
-    Count c;
     if (g < 2)
         return PyLong_FromLong(g);
-    if (memo_get(memo, g, &c)) {
-        Py_INCREF(c.o);
-        return c.o;
+    uint32_t h = memo_slot(memo, g);
+    if (memo->keys[h] != 0) {
+        Py_INCREF(memo->vals[h]);
+        return memo->vals[h];
     }
     Node nd = k->nodes[g];
     int32_t kids[2] = {nd.low, nd.high};
     PyObject *sum = PyLong_FromLong(0);
     for (int b = 0; b < 2 && sum != NULL; b++) {
-        PyObject *sub = count_big(k, memo, kids[b]);
-        PyObject *by = sub == NULL ? NULL : PyLong_FromLong(gap(k, g, kids[b]));
+        /* shift the child's count into g's variable range */
+        long gap = (k->nodes[kids[b]].level >> 1) - (nd.level >> 1) - 1;
+        PyObject *sub = count(k, memo, kids[b]);
+        PyObject *by = sub == NULL ? NULL : PyLong_FromLong(gap);
         PyObject *part = by == NULL ? NULL : PyNumber_Lshift(sub, by);
         Py_XDECREF(sub);
         Py_XDECREF(by);
@@ -451,8 +409,7 @@ static PyObject *count_big(Kernel *k, Memo *memo, int32_t g)
     }
     if (sum == NULL)
         return NULL;
-    c.o = sum;
-    if (memo_put(memo, g, c) < 0) {
+    if (memo_put(memo, g, sum) < 0) {
         Py_DECREF(sum);
         return NULL;
     }
@@ -463,24 +420,16 @@ static PyObject *count_big(Kernel *k, Memo *memo, int32_t g)
 static PyObject *count_states(Kernel *k, int32_t f)
 {
     Memo memo;
-    PyObject *res = NULL;
-    int below = k->nodes[f].level >> 1;
     if (memo_init(&memo, 64) < 0)
         return NULL;
-    if (k->n < 64) {
-        uint64_t c;
-        if (count_u64(k, &memo, f, &c) == 0)
-            res = PyLong_FromUnsignedLongLong(c << below);
-    } else {
-        PyObject *c = count_big(k, &memo, f);
-        PyObject *by = c == NULL ? NULL : PyLong_FromLong(below);
-        res = by == NULL ? NULL : PyNumber_Lshift(c, by);
-        Py_XDECREF(c);
-        Py_XDECREF(by);
-        for (uint32_t i = 0; i <= memo.mask; i++)
-            if (memo.keys[i] != 0)
-                Py_DECREF(memo.vals[i].o);
-    }
+    PyObject *c = count(k, &memo, f);
+    PyObject *by = c == NULL ? NULL : PyLong_FromLong(k->nodes[f].level >> 1);
+    PyObject *res = by == NULL ? NULL : PyNumber_Lshift(c, by);
+    Py_XDECREF(c);
+    Py_XDECREF(by);
+    for (uint32_t i = 0; i <= memo.mask; i++)
+        if (memo.keys[i] != 0)
+            Py_DECREF(memo.vals[i]);
     free(memo.keys);
     free(memo.vals);
     return res;
@@ -542,11 +491,11 @@ static PyObject *node_result(int32_t r)
 static void Kernel_free_tables(Kernel *self)
 {
     free(self->nodes);
-    free(self->support);
+    free(self->primed);
     free(self->buckets);
     free(self->cache);
     self->nodes = NULL;
-    self->support = NULL;
+    self->primed = NULL;
     self->buckets = NULL;
     self->cache = NULL;
 }
@@ -569,10 +518,10 @@ static int Kernel_init(Kernel *self, PyObject *args, PyObject *kwds)
     self->node_limit = node_limit;
     self->capacity = INITIAL_SLOTS;
     self->nodes = malloc(INITIAL_SLOTS * sizeof(Node));
-    self->support = malloc(INITIAL_SLOTS);
+    self->primed = malloc(INITIAL_SLOTS);
     self->buckets = calloc(INITIAL_SLOTS, sizeof(int32_t));
     self->cache = malloc(INITIAL_SLOTS * sizeof(CacheEntry));
-    if (self->nodes == NULL || self->support == NULL || self->buckets == NULL
+    if (self->nodes == NULL || self->primed == NULL || self->buckets == NULL
         || self->cache == NULL) {
         Kernel_free_tables(self);
         PyErr_NoMemory();
@@ -586,7 +535,7 @@ static int Kernel_init(Kernel *self, PyObject *args, PyObject *kwds)
         self->nodes[t].low = t;
         self->nodes[t].high = t;
         self->nodes[t].next = 0;
-        self->support[t] = 0;
+        self->primed[t] = 0;
     }
     self->size = 2;
     return 0;
@@ -717,12 +666,12 @@ static PyObject *Kernel_shift(Kernel *self, PyObject *const *args,
     return node_result(shift(self, (int)delta, f));
 }
 
-static PyObject *Kernel_support(Kernel *self, PyObject *arg)
+static PyObject *Kernel_has_primed(Kernel *self, PyObject *arg)
 {
     int32_t f;
     if (Kernel_ready(self) < 0 || arg_node(self, arg, &f) < 0)
         return NULL;
-    return PyLong_FromLong(self->support[f]);
+    return PyBool_FromLong(self->primed[f]);
 }
 
 static PyObject *Kernel_count_states(Kernel *self, PyObject *arg)
@@ -830,9 +779,8 @@ static PyMethodDef Kernel_methods[] = {
     {"low_of", (PyCFunction)Kernel_low_of, METH_O, NULL},
     {"high_of", (PyCFunction)Kernel_high_of, METH_O, NULL},
     {"num_nodes", (PyCFunction)Kernel_num_nodes, METH_NOARGS, NULL},
-    {"support", (PyCFunction)Kernel_support, METH_O,
-     "support(f): slot parities occurring in f, as SUPPORT_UNPRIMED | "
-     "SUPPORT_PRIMED bits."},
+    {"has_primed", (PyCFunction)Kernel_has_primed, METH_O,
+     "has_primed(f): whether a primed slot occurs in f."},
     {"apply", (PyCFunction)(void (*)(void))Kernel_apply, METH_FASTCALL,
      "apply(op, f, g): binary Boolean operation."},
     {"negate", (PyCFunction)Kernel_negate, METH_O, NULL},
@@ -904,9 +852,7 @@ PyMODINIT_FUNC PyInit__kernel_c(void)
         || PyModule_AddIntConstant(m, "OP_AND", OP_AND) < 0
         || PyModule_AddIntConstant(m, "OP_OR", OP_OR) < 0
         || PyModule_AddIntConstant(m, "OP_XOR", OP_XOR) < 0
-        || PyModule_AddIntConstant(m, "OP_DIFF", OP_DIFF) < 0
-        || PyModule_AddIntConstant(m, "SUPPORT_UNPRIMED", SUPPORT_UNPRIMED) < 0
-        || PyModule_AddIntConstant(m, "SUPPORT_PRIMED", SUPPORT_PRIMED) < 0) {
+        || PyModule_AddIntConstant(m, "OP_DIFF", OP_DIFF) < 0) {
         Py_DECREF(m);
         return NULL;
     }

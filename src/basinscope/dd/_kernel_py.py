@@ -2,9 +2,9 @@
 
 Node ids are small ints; 0 and 1 are the FALSE/TRUE terminals.  Levels are
 interleaved: model variable i occupies level 2i (unprimed) and 2i+1
-(primed).  Terminals sit at the sentinel level 2n.  Every node records the
-slot parities that occur at or below it, so that the state-level walks can
-reject a diagram with primed slots without walking it.
+(primed).  Terminals sit at the sentinel level 2n.  Every node records
+whether a primed slot occurs at or below it, so that the state-level walks
+can reject a diagram with primed slots without walking it.
 """
 
 from __future__ import annotations
@@ -15,10 +15,6 @@ OP_AND = 0
 OP_OR = 1
 OP_XOR = 2
 OP_DIFF = 3
-
-# bits of Kernel.support
-SUPPORT_UNPRIMED = 1
-SUPPORT_PRIMED = 2
 
 
 class NodeLimitError(MemoryError):
@@ -34,7 +30,7 @@ class Kernel:
         self._level = [sentinel, sentinel]
         self._low = [0, 1]
         self._high = [0, 1]
-        self._support = [0, 0]
+        self._primed = [0, 0]
         self._unique: dict[tuple[int, int, int], int] = {}
         self._apply_cache: dict[tuple[int, int, int], int] = {}
         self._exists_cache: dict[tuple[int, int], int] = {}
@@ -57,8 +53,8 @@ class Kernel:
         self._level.append(level)
         self._low.append(low)
         self._high.append(high)
-        self._support.append(
-            self._support[low] | self._support[high] | 1 << (level & 1))
+        self._primed.append(
+            self._primed[low] | self._primed[high] | (level & 1))
         self._unique[key] = node
         return node
 
@@ -79,10 +75,9 @@ class Kernel:
     def num_nodes(self) -> int:
         return len(self._level)
 
-    def support(self, f: int) -> int:
-        """Slot parities occurring in f, as SUPPORT_UNPRIMED | SUPPORT_PRIMED
-        bits."""
-        return self._support[f]
+    def has_primed(self, f: int) -> bool:
+        """Whether a primed slot occurs in f."""
+        return bool(self._primed[f])
 
     # -- Boolean operations ------------------------------------------------
 
@@ -230,7 +225,7 @@ class Kernel:
     # -- state-level walks over unprimed diagrams (iterative) --------------
 
     def _check_unprimed(self, f: int):
-        if self._support[f] & SUPPORT_PRIMED:
+        if self._primed[f]:
             raise ValueError("diagram references primed slots")
 
     def count_states(self, f: int) -> int:

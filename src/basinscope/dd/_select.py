@@ -11,16 +11,16 @@ if _choice not in (None, "py", "c"):
 
 if _choice == "py":
     from ._kernel_py import (  # noqa: F401
-        BACKEND, OP_AND, OP_DIFF, OP_OR, OP_XOR, SUPPORT_PRIMED, Kernel,
+        BACKEND, OP_AND, OP_DIFF, OP_OR, OP_XOR, Kernel,
         NodeLimitError)
 else:
     try:
         from ._kernel_c import (  # noqa: F401
-            BACKEND, OP_AND, OP_DIFF, OP_OR, OP_XOR, SUPPORT_PRIMED, Kernel,
+            BACKEND, OP_AND, OP_DIFF, OP_OR, OP_XOR, Kernel,
             NodeLimitError)
     except ImportError:
         if _choice == "c":
             raise
         from ._kernel_py import (  # noqa: F401
-            BACKEND, OP_AND, OP_DIFF, OP_OR, OP_XOR, SUPPORT_PRIMED, Kernel,
+            BACKEND, OP_AND, OP_DIFF, OP_OR, OP_XOR, Kernel,
             NodeLimitError)

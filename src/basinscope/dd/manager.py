@@ -11,7 +11,6 @@ OP_AND = _kernel.OP_AND
 OP_OR = _kernel.OP_OR
 OP_XOR = _kernel.OP_XOR
 OP_DIFF = _kernel.OP_DIFF
-SUPPORT_PRIMED = _kernel.SUPPORT_PRIMED
 
 NodeLimitError = _kernel.NodeLimitError
 
@@ -158,7 +157,7 @@ class DdManager:
         return k.level_of(f), k.low_of(f), k.high_of(f)
 
     def _check_unprimed(self, f: int):
-        if self.kernel.support(f) & SUPPORT_PRIMED:
+        if self.kernel.has_primed(f):
             raise ValueError("diagram references primed slots")
 
     # -- state-level operations (walked by the kernel) ---------------------

@@ -282,51 +282,66 @@ def simulate_phenotype_reachability(
     counts: dict[int, int] = {p.index: 0 for p in phenotypes}
     capped = 0
     sync = ts.mode is UpdateMode.SYNC
-    # state -> (attractor hit, successors): walks revisit the same states
-    steps_of: dict[tuple[int, ...], tuple] = {}
-    admissible: dict[tuple[int, ...], int] = {}
+    # States are packed into ints, bit i holding variable i.  A packed state
+    # maps to (attractor hit, successors), since walks revisit the same
+    # states; an async successor is stored as the index of the variable it
+    # flips, a sync one as the packed image.
+    steps_of: dict[int, tuple] = {}
+    admissible: dict[int, int] = {}
 
-    def step(x: tuple[int, ...]) -> tuple:
+    def unpack(x: int) -> list[int]:
+        return [(x >> i) & 1 for i in range(n)]
+
+    def step(x: int) -> tuple:
         """The first attractor (in attrs order) containing x, else None, and
         the admissible successors of x in ascending variable order."""
         known = steps_of.get(x)
         if known is not None:
             return known
+        bits = unpack(x)
         hit = next((idx for idx, ref in attractor_refs
-                    if m.eval_state(ref, x)), None)
-        succs = ()
+                    if m.eval_state(ref, bits)), None)
+        succs = []
         if hit is None:
-            fx = tuple(eval_expr(u, x) for u in updates)
+            fx = [eval_expr(u, bits) for u in updates]
             if sync:
-                candidates = [fx]
+                if m.eval_state(space_ref, fx):
+                    succs.append(sum(b << i for i, b in enumerate(fx)))
             else:
-                candidates = [x[:i] + fx[i:i + 1] + x[i + 1:]
-                              for i in range(n) if fx[i] != x[i]]
-            succs = tuple(y for y in candidates if m.eval_state(space_ref, y))
+                for i in range(n):
+                    if fx[i] != bits[i]:
+                        bits[i] = fx[i]
+                        if m.eval_state(space_ref, bits):
+                            succs.append(i)
+                        bits[i] = 1 - fx[i]
+        entry = (hit, tuple(succs))
         if len(steps_of) < STEP_TABLE_LIMIT:
-            steps_of[x] = (hit, succs)
-        return hit, succs
+            steps_of[x] = entry
+        return entry
 
     for w in range(walks):
         rng = random.Random(f"{rng_seed}:{w}")
         # uniform admissible start state by rejection
         while True:
-            bits = tuple(rng.randrange(2) for _ in range(n))
-            ok = admissible.get(bits)
+            x = 0
+            for i in range(n):
+                x |= rng.randrange(2) << i
+            ok = admissible.get(x)
             if ok is None:
-                ok = m.eval_state(space_ref, bits)
+                ok = m.eval_state(space_ref, unpack(x))
                 if len(admissible) < STEP_TABLE_LIMIT:
-                    admissible[bits] = ok
+                    admissible[x] = ok
             if ok:
                 break
         steps = 0
         while True:
-            hit, succs = step(bits)
+            hit, succs = step(x)
             # no successor outside every attractor is a totalized self-loop
             # of a partial unit list: the walk counts as capped
             if hit is not None or steps >= cap or not succs:
                 break
-            bits = succs[rng.randrange(len(succs))]
+            j = succs[rng.randrange(len(succs))]
+            x = j if sync else x ^ (1 << j)
             steps += 1
         if hit is None:
             capped += 1

@@ -139,8 +139,9 @@ def test_and_exists_skips_high_branch_once_true(kernel_c):
 
 
 def walks(kernel, f):
-    """Support of f and its state-level walks, or the errors they raise."""
-    out = [kernel.support(f)]
+    """Primed flag of f and its state-level walks, or the errors they
+    raise."""
+    out = [kernel.has_primed(f)]
     for walk in (kernel.count_states, kernel.pick_min_state, kernel.states):
         try:
             out.append(walk(f))
@@ -158,8 +159,8 @@ def test_state_walks_match(kernel_c, steps, n_vars):
         run_ops(kernel, steps)
         results.append([walks(kernel, f) for f in range(kernel.num_nodes())])
     assert results[0] == results[1]
-    for support, count, pick, states in results[0]:
-        if not support & _kernel_py.SUPPORT_PRIMED:
+    for primed, count, pick, states in results[0]:
+        if not primed:
             assert count == len(states)
             assert states == sorted(states)
             assert pick == (states[0] if states else
