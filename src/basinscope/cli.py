@@ -13,13 +13,9 @@ from . import report as report_mod
 from .attractors import (
     Attractor, attractors, import_attractors, load_attractor_seeds)
 from .ctl import CtlError, accept, parse_ctl, render_ctl
-from .dd import ExprStyle, NodeLimitError, node_limit_from_env, to_expression
+from .dd import ExprStyle, NodeLimitError, to_expression
 from .model import BnetError, detect_van_ham_pairs, parse_bnet, render_expr
 from .stg import UpdateMode, build
-
-_STYLES = {"dnf": ExprStyle.DNF_STATES,
-           "factored": ExprStyle.FACTORED,
-           "isop": ExprStyle.ISOP}
 
 
 class DomainError(Exception):
@@ -54,7 +50,7 @@ def _load_network(args):
 def _build_ts(args):
     net = _load_network(args)
     mode = UpdateMode.ASYNC if args.update == "async" else UpdateMode.SYNC
-    return build(net, mode, node_limit_from_env())
+    return build(net, mode)
 
 
 def _get_attractors(ts, args):
@@ -136,7 +132,7 @@ def cmd_commitment(args) -> int:
     ts = _build_ts(args)
     attrs, partial = _get_attractors(ts, args)
     diagram = diag_mod.commitment_diagram(ts, attrs, partial)
-    style = _STYLES[args.expression_style]
+    style = ExprStyle(args.expression_style)
     payload = diagram_to_payload(ts, diagram, style)
     payload["attractors"] = [_attractor_payload(a) for a in attrs]
     _emit_json(args, payload)
@@ -164,7 +160,7 @@ def cmd_phenotypes(args) -> int:
     markers = _markers(args, ts)
     phenos = diag_mod.compute_phenotypes(ts, attrs, markers)
     diagram = diag_mod.phenotype_diagram(ts, attrs, phenos, partial)
-    style = _STYLES[args.expression_style]
+    style = ExprStyle(args.expression_style)
     payload = {
         "markers": markers,
         "phenotypes": [
@@ -186,7 +182,7 @@ def cmd_check(args) -> int:
     ts = _build_ts(args)
     try:
         formula = parse_ctl(args.ctl)
-        result = accept(ts, formula, _STYLES[args.expression_style])
+        result = accept(ts, formula, ExprStyle(args.expression_style))
     except CtlError as exc:
         raise DomainError(str(exc)) from exc
     names = ts.net.variables.names
@@ -254,7 +250,8 @@ def _add_common(p, markers=False, ctl=False, walks=False):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--attractor-file", default=None, metavar="PATH",
                    help="JSON list of attractor seeds; skips detection")
-    p.add_argument("--expression-style", choices=sorted(_STYLES),
+    p.add_argument("--expression-style",
+                   choices=[style.value for style in ExprStyle],
                    default="isop")
     if markers:
         p.add_argument("--markers", required=True, metavar="CSV",

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from .dd import ExprStyle, OP_AND, OP_DIFF, OP_OR, StateSet, to_expression
 from .model import (
-    BnetError, BoolExpr, NameVar, render_expr, resolve_names, _ExprParser)
+    BnetError, BoolExpr, Const, NameVar, render_expr, resolve_names)
 from .stg import TransitionSystem
 
 
@@ -163,7 +163,6 @@ class _CtlParser:
             return f
         if tok in ("0", "1"):
             self.take()
-            from .model import Const
             return Atom(Const(int(tok)))
         if tok and (tok[0].isalpha() or tok[0] == "_"):
             self.take()
@@ -301,9 +300,3 @@ def accept(ts: TransitionSystem, formula: CtlFormula,
     ref = accept_ref(ts, formula)
     states = ts.set_of(ref)
     return AcceptResult(states, states.count(), style)
-
-
-def holds_from(ts: TransitionSystem, formula: CtlFormula,
-               initial: StateSet) -> bool:
-    """Classical yes/no query: do all initial states accept the formula?"""
-    return initial <= ts.set_of(accept_ref(ts, formula))

@@ -9,6 +9,9 @@
  * table grows with the unique table up to CACHE_MAX_SLOTS entries.  A
  * parallel byte array records, per node, whether a primed slot occurs at or
  * below it, so that the state-level walks reject primed diagrams in O(1).
+ * Quantification has one recursion, the relational product and_exists
+ * (after CUDD's Cudd_bddAndAbstract); quantifying a single diagram is its
+ * product with TRUE.
  *
  * Every recursive routine returns a node id, or -1 with a Python exception
  * set.  No pointer into the node array or the computed table is held across
@@ -25,7 +28,7 @@
 enum { OP_AND, OP_OR, OP_XOR, OP_DIFF };
 
 /* computed-table tags; the parity or direction is added to the base */
-enum { TAG_EXISTS = 4, TAG_AND_EXISTS = 6, TAG_SHIFT = 8 };
+enum { TAG_AND_EXISTS = 4, TAG_SHIFT = 6 };
 
 #define INITIAL_SLOTS (1u << 12)
 #define CACHE_MAX_SLOTS (1u << 22)
@@ -225,37 +228,18 @@ static int32_t apply(Kernel *k, int op, int32_t f, int32_t g)
     return res;
 }
 
-static int32_t exists_parity(Kernel *k, int parity, int32_t f)
-{
-    if (f < 2)
-        return f;
-    uint32_t tag = TAG_EXISTS + parity;
-    int32_t res = cache_lookup(k, tag, f, 0);
-    if (res >= 0)
-        return res;
-    Node nf = k->nodes[f];
-    int32_t r0 = exists_parity(k, parity, nf.low);
-    if (r0 < 0) return -1;
-    int32_t r1 = exists_parity(k, parity, nf.high);
-    if (r1 < 0) return -1;
-    if ((nf.level & 1) == parity)
-        res = apply(k, OP_OR, r0, r1);
-    else
-        res = mk(k, nf.level, r0, r1);
-    if (res < 0) return -1;
-    cache_store(k, tag, f, 0, res);
-    return res;
-}
-
+/* quantify the levels of the given parity from f & g without building it */
 static int32_t and_exists(Kernel *k, int parity, int32_t f, int32_t g)
 {
     if (f == 0 || g == 0)
         return 0;
-    if (f == 1 || f == g)
-        return exists_parity(k, parity, g);
-    if (g == 1)
-        return exists_parity(k, parity, f);
-    if (f > g) {
+    if (f == g || f == 1) { /* one operand: it goes first, TRUE second */
+        f = g;
+        g = 1;
+    }
+    if (f == 1)
+        return 1;
+    if (g != 1 && f > g) {
         int32_t t = f;
         f = g;
         g = t;

@@ -33,7 +33,6 @@ class Kernel:
         self._primed = [0, 0]
         self._unique: dict[tuple[int, int, int], int] = {}
         self._apply_cache: dict[tuple[int, int, int], int] = {}
-        self._exists_cache: dict[tuple[int, int], int] = {}
         self._and_exists_cache: dict[tuple[int, int, int], int] = {}
         self._shift_cache: dict[tuple[int, int], int] = {}
 
@@ -140,36 +139,18 @@ class Kernel:
 
     # -- quantification ----------------------------------------------------
 
-    def _exists_parity(self, parity: int, f: int) -> int:
-        """Existentially quantify every level with the given parity
-        (0 = all unprimed slots, 1 = all primed slots)."""
-        if f < 2:
-            return f
-        key = (parity, f)
-        cached = self._exists_cache.get(key)
-        if cached is not None:
-            return cached
-        lf = self._level[f]
-        r0 = self._exists_parity(parity, self._low[f])
-        r1 = self._exists_parity(parity, self._high[f])
-        if lf % 2 == parity:
-            res = self.apply(OP_OR, r0, r1)
-        else:
-            res = self.mk(lf, r0, r1)
-        self._exists_cache[key] = res
-        return res
-
     def and_exists(self, parity: int, f: int, g: int) -> int:
-        """Relational product: _exists_parity(parity, apply(OP_AND, f, g))
-        in one recursion that never builds the conjunction f & g;
-        and_exists(parity, f, 1) is _exists_parity(parity, f)."""
+        """Relational product: quantify every level with the given parity
+        (0 = all unprimed slots, 1 = all primed slots) from
+        apply(OP_AND, f, g) in one recursion that never builds the
+        conjunction; and_exists(parity, f, 1) quantifies f alone."""
         if f == 0 or g == 0:
             return 0
-        if f == 1 or f == g:
-            return self._exists_parity(parity, g)
-        if g == 1:
-            return self._exists_parity(parity, f)
-        if f > g:
+        if f == g or f == 1:  # one operand: it goes first, TRUE second
+            f, g = g, 1
+        if f == 1:
+            return 1
+        if g != 1 and f > g:
             f, g = g, f
         key = (parity, f, g)
         cached = self._and_exists_cache.get(key)

@@ -234,8 +234,5 @@ class StateSet:
     def contains(self, state: str) -> bool:
         return bool(self.manager.eval_state(self.ref, [int(c) for c in state]))
 
-    def pick_min(self) -> str:
-        return self.manager.pick_min_state(self.ref)
-
     def __repr__(self) -> str:
         return f"StateSet(count={self.count()})"

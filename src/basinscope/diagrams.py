@@ -14,7 +14,7 @@ from .stg import TransitionSystem, UpdateMode
 
 
 class DiagramError(RuntimeError):
-    """Internal inconsistency between the two commitment-set computations."""
+    """A complete unit list leaves states outside every weak basin."""
 
 
 @dataclass(frozen=True)
@@ -64,37 +64,31 @@ def _quotient_nodes(ts: TransitionSystem, units: dict[int, StateSet],
     """Nodes of the quotient graph for units (attractors or phenotypes),
     each given by its set of representative states.
 
-    Every realized index subset I is computed both as the weak-basin
-    partition block and via the conjunction of the member weak basins with
-    the strong basin of the united representatives; the two must agree
-    whenever the unit list is complete.
+    The node of a realized index subset I is its weak-basin partition
+    block: the states that reach exactly the units in I.  With a complete
+    unit list that block is the commitment set of I.  With a partial list
+    the node keeps only the block's states in the strong basin of the
+    united representatives of I, which leaves out the states that may
+    reach an attractor missing from the list.
     """
     m = ts.manager
     total = ts.space_size()
     weak = {i: weak_basin(ts, reps) for i, reps in units.items()}
     nodes: dict[tuple[int, ...], DiagramNode] = {}
-    for block_ref, key in _refine_by_weak_basins(ts, weak):
+    for ref, key in _refine_by_weak_basins(ts, weak):
         if not key:
             if partial:
                 continue
             raise DiagramError(
                 "states outside every weak basin despite a complete unit list")
-        reps_union = 0
-        for i in key:
-            reps_union = m.or_(reps_union, units[i].ref)
-        delta = ts.space_ref
-        for i in key:
-            delta = m.and_(delta, weak[i].ref)
-        delta = m.and_(delta, strong_basin(ts, ts.set_of(reps_union)).ref)
         if partial:
-            if delta == 0:
+            reps_union = 0
+            for i in key:
+                reps_union = m.or_(reps_union, units[i].ref)
+            ref = m.and_(ref, strong_basin(ts, ts.set_of(reps_union)).ref)
+            if ref == 0:
                 continue
-            states = ts.set_of(delta)
-        else:
-            if delta != block_ref:
-                raise DiagramError(
-                    f"commitment-set mismatch for index set {key}")
-            states = ts.set_of(block_ref)
+        states = ts.set_of(ref)
         size = states.count()
         nodes[key] = DiagramNode(key, states, size,
                                  100.0 * size / total if total else 0.0)

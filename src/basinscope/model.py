@@ -409,7 +409,3 @@ def state_from_string(net: BooleanNetwork, s: str) -> str:
         if c not in "01":
             raise ValueError(f"illegal character {c!r} in state string")
     return s
-
-
-def state_bits(s: str) -> tuple[int, ...]:
-    return tuple(int(c) for c in s)

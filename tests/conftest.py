@@ -6,6 +6,10 @@ from basinscope.stg import UpdateMode, build
 TOGGLE = "a, !b\nb, !a\n"
 CHAIN = "a, a\nb, a & b\n"
 REPRESSILATOR = "a, !c\nb, a\nc, b\n"
+# a is constantly 0 and every state reaches the steady state 011; the second
+# seed is a pattern over the transient states 110 and 111
+OVERLAP = "a, b & !b\nb, !a\nc, b\n"
+OVERLAP_SEEDS = [{"a": 0, "b": 1, "c": 1}, {"a": 1, "b": 1}]
 
 
 @pytest.fixture

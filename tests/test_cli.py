@@ -3,7 +3,7 @@ import json
 import pytest
 
 from basinscope.cli import run
-from conftest import CHAIN, TOGGLE
+from conftest import CHAIN, OVERLAP, OVERLAP_SEEDS, TOGGLE
 
 
 @pytest.fixture
@@ -117,6 +117,22 @@ def test_attractor_file_partial_mode(toggle_file, tmp_path, capsys):
     assert payload["partial"] is True
     assert payload["nodes"] == [
         {"key": [1], "size": 1, "percent": 25.0, "expression": "a & !b"}]
+
+
+def test_partial_pattern_seed_nodes_fit_the_pie_chart(tmp_path, capsys):
+    """The nodes of a partial diagram are disjoint, so their sizes add up to
+    at most the space and the pie chart can be drawn."""
+    model = tmp_path / "overlap.bnet"
+    model.write_text(OVERLAP)
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text(json.dumps(OVERLAP_SEEDS))
+    pie = tmp_path / "pie.svg"
+    payload = run_json(capsys, [
+        "commitment", "--bnet", str(model), "--attractor-file", str(seeds),
+        "--json", "-", "--svg", str(pie)])
+    assert [(node["key"], node["size"]) for node in payload["nodes"]] == [
+        ([1], 7), ([1, 2], 1)]
+    assert pie.read_text().startswith("<svg")
 
 
 def test_duplicate_attractor_seeds_are_one_line_error(toggle_file, tmp_path,

@@ -4,11 +4,13 @@ import pytest
 
 from basinscope import diagrams
 from basinscope.attractors import attractors, import_attractors
-from basinscope.basins import strong_basin
+from basinscope.basins import strong_basin, weak_basin
 from basinscope.diagrams import (
     commitment_diagram, commitment_sets, compute_phenotypes, diagram_to_json,
     phenotype_diagram, phenotype_of, simulate_phenotype_reachability)
+from basinscope.model import parse_bnet
 from basinscope.stg import UpdateMode, build
+from conftest import OVERLAP, OVERLAP_SEEDS
 from oracle import (
     commitment_blocks, explicit_stg, phenotype_blocks, quotient_edges,
     random_network, terminal_sccs)
@@ -17,6 +19,27 @@ from oracle import (
 def node_states(diagram):
     return {key: set(node.states.states())
             for key, node in diagram.nodes.items()}
+
+
+def commitment_units(ts, attrs):
+    return {a.index: ts.state_set([a.representative]) for a in attrs}
+
+
+def phenotype_units(ts, attrs, phenos):
+    reps = {a.index: a.representative for a in attrs}
+    return {p.index: ts.state_set([reps[i] for i in p.attractor_indices])
+            for p in phenos}
+
+
+def assert_commitment_identity(ts, diagram, units):
+    """Every node with index set I is the intersection of the weak basins of
+    the units in I with the strong basin of their united representatives."""
+    for key, node in diagram.nodes.items():
+        expected, reps = ts.space(), ts.empty()
+        for i in key:
+            expected = expected & weak_basin(ts, units[i])
+            reps = reps | units[i]
+        assert node.states == expected & strong_basin(ts, reps), key
 
 
 def test_toggle_commitment_sets(toggle_ts):
@@ -57,6 +80,18 @@ def test_partial_mode(toggle_ts):
     # only states committed exclusively to the known attractor remain
     assert node_states(d) == {(1,): {"10"}}
     assert d.partial
+
+
+def test_partial_pattern_seed_nodes_are_disjoint():
+    """A pattern seed's representative is a transient state here: its node
+    must not also be counted in the node of the steady state alone."""
+    ts = build(parse_bnet(OVERLAP))
+    attrs = import_attractors(ts, OVERLAP_SEEDS)
+    d = commitment_sets(ts, attrs, partial=True)
+    assert {key: node.size for key, node in d.nodes.items()} == {
+        (1,): 7, (1, 2): 1}
+    assert d.nodes[(1, 2)].states.states() == ["110"]
+    assert not d.nodes[(1,)].states & d.nodes[(1, 2)].states
 
 
 def test_phenotype_of_steady(toggle_ts):
@@ -106,6 +141,7 @@ def test_partition_and_edges_match_explicit_oracle():
         oracle_attrs = terminal_sccs(adj)
         attrs = attractors(ts)
         d = commitment_diagram(ts, attrs)
+        assert_commitment_identity(ts, d, commitment_units(ts, attrs))
         expected_blocks = commitment_blocks(adj, oracle_attrs)
         got = {frozenset(k): v for k, v in node_states(d).items()}
         assert got == expected_blocks
@@ -125,6 +161,7 @@ def test_partition_and_edges_match_explicit_oracle():
                    for i in sorted(rng.sample(range(n), min(2, n)))]
         phenos = compute_phenotypes(ts, attrs, markers)
         pd = phenotype_diagram(ts, attrs, phenos)
+        assert_commitment_identity(ts, pd, phenotype_units(ts, attrs, phenos))
         pheno_of_attr = {}
         for p in phenos:
             for ai in p.attractor_indices:
@@ -138,6 +175,16 @@ def test_partition_and_edges_match_explicit_oracle():
             containers = [pk for pk, ps in got_pheno.items()
                           if cstates <= ps]
             assert len(containers) == 1
+        # partial diagrams of every other attractor, each imported from a
+        # state seed other than its representative where it has one
+        known = import_attractors(
+            ts, [a.states.states()[-1] for a in attrs[::2]])
+        partial = commitment_diagram(ts, known, partial=True)
+        assert_commitment_identity(ts, partial, commitment_units(ts, known))
+        phenos = compute_phenotypes(ts, known, markers)
+        partial = phenotype_diagram(ts, known, phenos, partial=True)
+        assert_commitment_identity(ts, partial,
+                                   phenotype_units(ts, known, phenos))
 
 
 def test_simulation_toggle_split(toggle_ts):

@@ -108,6 +108,19 @@ def test_random_operations_match_node_for_node(kernel_c, steps, n_vars,
     assert run_ops(kernel_c.Kernel(*args), steps) == expected
 
 
+def exists_by_expansion(kernel, parity, f):
+    """Quantify the levels of the given parity from f by Shannon expansion,
+    OR-ing the cofactors of each quantified node with apply."""
+    if f < 2:
+        return f
+    level = kernel.level_of(f)
+    r0 = exists_by_expansion(kernel, parity, kernel.low_of(f))
+    r1 = exists_by_expansion(kernel, parity, kernel.high_of(f))
+    if level % 2 == parity:
+        return kernel.apply(_kernel_py.OP_OR, r0, r1)
+    return kernel.mk(level, r0, r1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(steps=STEPS)
 def test_and_exists_is_exists_of_conjunction(kernel_c, steps):
@@ -116,6 +129,9 @@ def test_and_exists_is_exists_of_conjunction(kernel_c, steps):
         trace, _ = run_ops(kernel, steps)
         refs = [0, 1] + [r for r in trace if isinstance(r, int)][-6:]
         for f in refs:
+            for parity in (0, 1):
+                assert kernel.and_exists(parity, f, 1) == \
+                    exists_by_expansion(kernel, parity, f)
             for g in refs:
                 for parity in (0, 1):
                     conj = kernel.apply(_kernel_py.OP_AND, f, g)
