@@ -198,6 +198,8 @@ def cmd_check(args) -> int:
 
 def cmd_render(args) -> int:
     ts = _build_ts(args)
+    # refuse a large space before detection and before any state is listed
+    report_mod.check_small_stg(ts)
     attrs, partial = _get_attractors(ts, args)
     diagram = diag_mod.commitment_sets(ts, attrs, partial)
     colouring = {}
@@ -207,10 +209,7 @@ def cmd_render(args) -> int:
     attractor_states = set()
     for a in attrs:
         attractor_states.update(a.states.states())
-    try:
-        dot = report_mod.small_stg_to_dot(ts, colouring, attractor_states)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
+    dot = report_mod.small_stg_to_dot(ts, colouring, attractor_states)
     _write(args.dot or "-", dot)
     return 0
 
@@ -240,26 +239,39 @@ def cmd_simulate(args) -> int:
 # argument parsing
 
 
-def _add_common(p, markers=False, ctl=False, walks=False):
-    p.add_argument("--bnet", required=True, help="path to the .bnet model")
-    p.add_argument("--update", choices=("async", "sync"), default="async")
-    p.add_argument("--json", default=None, metavar="PATH|-",
-                   help="write the JSON result to PATH (or - for stdout)")
-    p.add_argument("--dot", default=None, metavar="PATH")
-    p.add_argument("--svg", default=None, metavar="PATH")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--attractor-file", default=None, metavar="PATH",
-                   help="JSON list of attractor seeds; skips detection")
-    p.add_argument("--expression-style",
-                   choices=[style.value for style in ExprStyle],
-                   default="isop")
-    if markers:
-        p.add_argument("--markers", required=True, metavar="CSV",
-                       help="comma-separated marker variables")
-    if ctl:
-        p.add_argument("--ctl", required=True, metavar="FORMULA")
-    if walks:
-        p.add_argument("--walks", type=int, default=10000)
+_FLAGS = {
+    "--bnet": dict(required=True, help="path to the .bnet model"),
+    "--update": dict(choices=("async", "sync"), default="async"),
+    "--json": dict(metavar="PATH|-",
+                   help="write the JSON result to PATH (or - for stdout)"),
+    "--attractor-file": dict(
+        metavar="PATH", help="JSON list of attractor seeds; skips detection"),
+    "--expression-style": dict(choices=[style.value for style in ExprStyle],
+                               default="isop"),
+    "--dot": dict(metavar="PATH"),
+    "--svg": dict(metavar="PATH"),
+    "--markers": dict(required=True, metavar="CSV",
+                      help="comma-separated marker variables"),
+    "--ctl": dict(required=True, metavar="FORMULA"),
+    "--walks": dict(type=int, default=10000),
+    "--seed": dict(type=int, default=0),
+}
+
+_MODEL = ("--bnet", "--update")
+_ATTRACTORS = _MODEL + ("--json", "--attractor-file")
+_DIAGRAM = _ATTRACTORS + ("--expression-style", "--dot", "--svg")
+
+# each subcommand accepts exactly the flags its cmd_* function reads
+_SUBCOMMANDS = {
+    "attractors": (cmd_attractors, _ATTRACTORS),
+    "basins": (cmd_basins, _ATTRACTORS + ("--svg",)),
+    "commitment": (cmd_commitment, _DIAGRAM),
+    "phenotypes": (cmd_phenotypes, _DIAGRAM + ("--markers",)),
+    "check": (cmd_check, _MODEL + ("--json", "--ctl", "--expression-style")),
+    "render": (cmd_render, _MODEL + ("--attractor-file", "--dot")),
+    "simulate": (cmd_simulate,
+                 _ATTRACTORS + ("--markers", "--walks", "--seed")),
+}
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -268,18 +280,10 @@ def make_parser() -> argparse.ArgumentParser:
         description="Symbolic attractor, basin, commitment and phenotype "
                     "analysis of Boolean networks.")
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = [
-        ("attractors", cmd_attractors, {}),
-        ("basins", cmd_basins, {}),
-        ("commitment", cmd_commitment, {}),
-        ("phenotypes", cmd_phenotypes, {"markers": True}),
-        ("check", cmd_check, {"ctl": True}),
-        ("render", cmd_render, {}),
-        ("simulate", cmd_simulate, {"markers": True, "walks": True}),
-    ]
-    for name, func, extra in specs:
+    for name, (func, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name)
-        _add_common(p, **extra)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(func=func)
     return parser
 

@@ -22,12 +22,12 @@ class ExprStyle(enum.Enum):
 DEFAULT_DNF_LIMIT = 4096
 
 
-def to_expression(m: DdManager, f: int, style: ExprStyle = ExprStyle.ISOP,
-                  dnf_limit: int = DEFAULT_DNF_LIMIT) -> BoolExpr:
+def to_expression(m: DdManager, f: int,
+                  style: ExprStyle = ExprStyle.ISOP) -> BoolExpr:
     """Export an unprimed diagram as a Boolean expression of the given style."""
     m._check_unprimed(f)
     if style is ExprStyle.DNF_STATES:
-        return dnf_states(m, f, dnf_limit)
+        return dnf_states(m, f)
     if style is ExprStyle.FACTORED:
         return factored(m, f)
     if style is ExprStyle.ISOP:
@@ -35,12 +35,12 @@ def to_expression(m: DdManager, f: int, style: ExprStyle = ExprStyle.ISOP,
     raise ValueError(f"unknown expression style {style!r}")
 
 
-def dnf_states(m: DdManager, f: int, limit: int = DEFAULT_DNF_LIMIT) -> BoolExpr:
+def dnf_states(m: DdManager, f: int) -> BoolExpr:
     """One conjunctive term per satisfying state."""
     count = m.count_states(f)
-    if count > limit:
-        raise ValueError(
-            f"state-count {count} exceeds the DNF-per-state limit {limit}")
+    if count > DEFAULT_DNF_LIMIT:
+        raise ValueError(f"state-count {count} exceeds the DNF-per-state "
+                         f"limit {DEFAULT_DNF_LIMIT}")
     terms = []
     for s in m.iter_states(f):
         lits = [Var(i) if c == "1" else Not(Var(i)) for i, c in enumerate(s)]

@@ -42,10 +42,6 @@ class DdManager:
         self.FALSE = 0
         self.TRUE = 1
 
-    @property
-    def backend(self) -> str:
-        return _kernel.BACKEND
-
     # -- construction ------------------------------------------------------
 
     def var(self, i: int) -> int:

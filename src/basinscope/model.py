@@ -178,7 +178,7 @@ def render_expr(expr: BoolExpr, names) -> str:
 
 
 # ---------------------------------------------------------------------------
-# expression parsing (shared by .bnet lines and CTL atoms)
+# expression parsing (.bnet right-hand sides; ctl.py has its own grammar)
 
 
 class _ExprParser:

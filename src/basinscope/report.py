@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .basins import BasinTriple
 from .diagrams import Diagram
 from .stg import TransitionSystem
 
-# 12-colour cycle assigned by canonical block order; last entry is the
-# light shade reserved for the "uncommitted" slice.
+# 12-colour cycle assigned by canonical block order; LIGHT fills the
+# "uncommitted" slice and the states outside every block.
 PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b",
     "#e377c2", "#7f7f7f", "#bcbd22", "#17becf", "#aec7e8", "#ffbb78",
@@ -18,18 +17,14 @@ PALETTE = (
 LIGHT = "#f0f0f0"
 
 
-@dataclass(frozen=True)
-class RenderConfig:
-    percent_threshold: int = 1024
-    palette: tuple[str, ...] = PALETTE
-    small_stg_limit: int = 1 << 15
+# totals above this are labelled in percent, totals up to it in states
+PERCENT_THRESHOLD = 1024
+# largest state space small_stg_to_dot draws state by state
+SMALL_STG_LIMIT = 1 << 15
 
-    def __post_init__(self):
-        if self.percent_threshold <= 0 or self.small_stg_limit <= 0:
-            raise ValueError("render limits must be positive")
 
-    def colour(self, i: int) -> str:
-        return self.palette[i % len(self.palette)]
+def _colour(i: int) -> str:
+    return PALETTE[i % len(PALETTE)]
 
 
 def _fmt(x: float) -> str:
@@ -49,7 +44,7 @@ def _esc(text: str) -> str:
 # DOT
 
 
-def diagram_to_dot(diagram: Diagram, cfg: RenderConfig = RenderConfig()) -> str:
+def diagram_to_dot(diagram: Diagram) -> str:
     """Quotient graph as a graphviz digraph, byte-deterministic."""
     keys = diagram.sorted_keys()
     ids = {key: f"n{i}" for i, key in enumerate(keys)}
@@ -59,7 +54,7 @@ def diagram_to_dot(diagram: Diagram, cfg: RenderConfig = RenderConfig()) -> str:
         label = (f"{_key_label(key)}\\n{node.size} states "
                  f"({_fmt(node.percent)}%)")
         lines.append(
-            f'  {ids[key]} [label="{label}", fillcolor="{cfg.colour(i)}"];')
+            f'  {ids[key]} [label="{label}", fillcolor="{_colour(i)}"];')
     for i_key, j_key in sorted(diagram.edges,
                                key=lambda e: (len(e[0]), e[0], len(e[1]), e[1])):
         lines.append(f"  {ids[i_key]} -> {ids[j_key]};")
@@ -67,21 +62,25 @@ def diagram_to_dot(diagram: Diagram, cfg: RenderConfig = RenderConfig()) -> str:
     return "\n".join(lines) + "\n"
 
 
+def check_small_stg(ts: TransitionSystem):
+    """Raise ValueError when the space is too large to draw state by state."""
+    size = ts.space_size()
+    if size > SMALL_STG_LIMIT:
+        raise ValueError(
+            f"state space of {size} states exceeds the limit "
+            f"{SMALL_STG_LIMIT}; use the diagram view instead")
+
+
 def small_stg_to_dot(ts: TransitionSystem, colouring: dict,
-                     attractor_states: set | None = None,
-                     cfg: RenderConfig = RenderConfig()) -> str:
+                     attractor_states: set | None = None) -> str:
     """Explicit STG drawing with one node per state, filled per block.
 
     `colouring` maps state bit strings to block keys; attractor states are
     drawn with a double border.  Self-loops are omitted.
     """
-    size = ts.space_size()
-    if size > cfg.small_stg_limit:
-        raise ValueError(
-            f"state space of {size} states exceeds the limit "
-            f"{cfg.small_stg_limit}; use the diagram view instead")
+    check_small_stg(ts)
     block_keys = sorted(set(colouring.values()), key=lambda k: (len(k), k))
-    colour_of = {key: cfg.colour(i) for i, key in enumerate(block_keys)}
+    colour_of = {key: _colour(i) for i, key in enumerate(block_keys)}
     attractor_states = attractor_states or set()
     states = ts.space().states()
     lines = ["digraph stg {", '  node [shape=circle, style="filled"];']
@@ -113,18 +112,12 @@ def _svg_document(width: int, height: int, body: list[str]) -> str:
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
-def basin_barplot_svg(triples: list[BasinTriple],
-                      space_size: int | None = None,
-                      cfg: RenderConfig = RenderConfig()) -> str:
+def basin_barplot_svg(triples: list[BasinTriple], space_size: int) -> str:
     """Stacked bar plot: per attractor the nested cycle-free, strong, and
     weak basins drawn front-to-back."""
     if not triples:
         raise ValueError("no basin triples to plot")
-    if space_size is None:
-        # recover |space| from any non-empty weak basin
-        t0 = triples[0]
-        space_size = round(100.0 * t0.weak_info.size / t0.weak_info.percent)
-    use_percent = space_size > cfg.percent_threshold
+    use_percent = space_size > PERCENT_THRESHOLD
 
     margin_left, margin_bottom, margin_top = 60, 50, 20
     bar_w, gap = 40, 25
@@ -151,7 +144,7 @@ def basin_barplot_svg(triples: list[BasinTriple],
             y = baseline - h
             body.append(
                 f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{bar_w}" '
-                f'height="{_fmt(h)}" fill="{cfg.colour(ci)}"/>')
+                f'height="{_fmt(h)}" fill="{_colour(ci)}"/>')
         label = f"A{t.attractor.index}"
         body.append(
             f'<text x="{_fmt(x + bar_w / 2)}" y="{baseline + 18}" '
@@ -165,7 +158,7 @@ def basin_barplot_svg(triples: list[BasinTriple],
     for i, (name, ci) in enumerate(legend):
         y = margin_top + i * 18
         body.append(f'<rect x="6" y="{y}" width="12" height="12" '
-                    f'fill="{cfg.colour(ci)}"/>')
+                    f'fill="{_colour(ci)}"/>')
         body.append(f'<text x="22" y="{y + 10}" font-size="11">{name}</text>')
     return _svg_document(width, height, body)
 
@@ -205,8 +198,7 @@ def _arc_path(cx: float, cy: float, r: float, a0: float, a1: float) -> str:
             f"A {_fmt(r)} {_fmt(r)} 0 {large} 1 {_fmt(x1)} {_fmt(y1)} Z")
 
 
-def basin_piechart_svg(partition: list[tuple[str, int]], total: int,
-                       cfg: RenderConfig = RenderConfig()) -> str:
+def basin_piechart_svg(partition: list[tuple[str, int]], total: int) -> str:
     """Pie chart of disjoint blocks (label, size); a light slice covers any
     states outside the blocks."""
     if not partition:
@@ -219,11 +211,11 @@ def basin_piechart_svg(partition: list[tuple[str, int]], total: int,
     width = height = 360
     cx = cy = 150.0
     r = 120.0
-    use_percent = total > cfg.percent_threshold
+    use_percent = total > PERCENT_THRESHOLD
     body = [f'<rect width="{width}" height="{height}" fill="white"/>']
     for i, ((label, size), (a0, a1)) in enumerate(zip(labelled, slices)):
         light = i == len(labelled) - 1 and len(slices) > len(partition)
-        colour = LIGHT if light else cfg.colour(i)
+        colour = LIGHT if light else _colour(i)
         body.append(f'<path d="{_arc_path(cx, cy, r, a0, a1)}" '
                     f'fill="{colour}" stroke="white"/>')
         if use_percent:

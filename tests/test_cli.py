@@ -173,6 +173,48 @@ def test_byte_determinism(argv, toggle_file, chain_file, capsys):
         assert capsys.readouterr().out == first
 
 
+# the flags each subcommand reads; every other flag is a usage error
+READS = {
+    "attractors": {"--bnet", "--update", "--json", "--attractor-file"},
+    "basins": {"--bnet", "--update", "--json", "--attractor-file", "--svg"},
+    "commitment": {"--bnet", "--update", "--json", "--attractor-file",
+                   "--expression-style", "--dot", "--svg"},
+    "phenotypes": {"--bnet", "--update", "--json", "--attractor-file",
+                   "--expression-style", "--dot", "--svg", "--markers"},
+    "check": {"--bnet", "--update", "--json", "--ctl", "--expression-style"},
+    "render": {"--bnet", "--update", "--attractor-file", "--dot"},
+    "simulate": {"--bnet", "--update", "--json", "--attractor-file",
+                 "--markers", "--walks", "--seed"},
+}
+REQUIRED = {"phenotypes": ["--markers", "a"], "check": ["--ctl", "EF(a)"],
+            "simulate": ["--markers", "a"]}
+VALUES = {"--update": "sync", "--expression-style": "dnf", "--walks": "5",
+          "--seed": "4", "--markers": "a", "--ctl": "EF(a)"}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in READS
+    for flag in sorted(set().union(*READS.values()) - READS[command])])
+def test_unread_flag_is_usage_error(command, flag, toggle_file, capsys):
+    argv = [command, "--bnet", toggle_file, *REQUIRED.get(command, []),
+            flag, VALUES.get(flag, "out.txt")]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_render_refuses_a_large_space_before_detection(toggle_file,
+                                                       monkeypatch, capsys):
+    def detect(ts):
+        raise AssertionError("attractors detected before the size check")
+
+    monkeypatch.setattr("basinscope.report.SMALL_STG_LIMIT", 2)
+    monkeypatch.setattr("basinscope.cli.attractors", detect)
+    assert run(["render", "--bnet", toggle_file]) == 1
+    assert "use the diagram view instead" in one_line_error(capsys)
+
+
 def test_render_determinism(toggle_file, tmp_path):
     d1, d2 = tmp_path / "a.dot", tmp_path / "b.dot"
     assert run(["render", "--bnet", toggle_file, "--dot", str(d1)]) == 0

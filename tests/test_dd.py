@@ -114,9 +114,9 @@ def test_factored_true():
 
 
 def test_dnf_limit():
-    m = DdManager(4)
-    with pytest.raises(ValueError, match="limit"):
-        to_expression(m, m.TRUE, ExprStyle.DNF_STATES, dnf_limit=10)
+    m = DdManager(13)  # TRUE has 8,192 states, above the limit of 4,096
+    with pytest.raises(ValueError, match="limit 4096"):
+        to_expression(m, m.TRUE, ExprStyle.DNF_STATES)
 
 
 @settings(max_examples=60, deadline=None)

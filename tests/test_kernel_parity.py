@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from basinscope import cli
 from basinscope.attractors import attractors
 from basinscope.basins import basin_triples
 from basinscope.dd import DdManager, _kernel_py, _select
@@ -218,8 +219,9 @@ def test_walks_reject_a_deep_primed_node(manager_on):
 
 
 def analyse(kernel_cls, monkeypatch, net, node_limit=None):
-    """Attractors and basins of net on the given kernel class; returns the
-    basin sizes, or the node-limit error, plus the node table."""
+    """Attractors and basins of net on the given kernel class; returns each
+    attractor's representative and basin sizes, or the node-limit error,
+    plus the node table."""
     kernels = []
 
     def make(*args):
@@ -229,8 +231,8 @@ def analyse(kernel_cls, monkeypatch, net, node_limit=None):
     monkeypatch.setattr(_select, "Kernel", make)
     try:
         ts = build(net, node_limit=node_limit)
-        sizes = [(t.weak_info.size, t.strong_info.size,
-                  t.cycle_free_info.size)
+        sizes = [(t.attractor.representative, t.weak_info.size,
+                  t.strong_info.size, t.cycle_free_info.size)
                  for t in basin_triples(ts, attractors(ts))]
     except _kernel_py.NodeLimitError as exc:
         sizes = str(exc)
@@ -250,3 +252,55 @@ def test_pipeline_matches_node_for_node(kernel_c, monkeypatch, seed, n,
     else:
         assert expected[0] == f"decision diagram exceeds node limit {node_limit}"
     assert analyse(kernel_c.Kernel, monkeypatch, net, node_limit) == expected
+
+
+# a toggle (a, b) that, with a on, lets c and d cycle and otherwise holds
+# them at 0: one cyclic and one steady async attractor
+MODEL = "a, !b\nb, !a\nc, a & !d\nd, c\n"
+INVOCATIONS = [
+    ["attractors", "--json", "-"],
+    ["attractors", "--update", "sync", "--json", "-"],
+    ["basins", "--json", "-", "--svg", "{out}/bars.svg"],
+    ["basins", "--update", "sync", "--attractor-file", "{seeds}",
+     "--json", "-"],
+    ["commitment", "--json", "-", "--expression-style", "factored",
+     "--dot", "{out}/diagram.dot", "--svg", "{out}/pie.svg"],
+    ["commitment", "--attractor-file", "{seeds}", "--json", "-"],
+    ["phenotypes", "--markers", "c,d", "--json", "-", "--expression-style",
+     "dnf", "--dot", "{out}/phenotypes.dot", "--svg", "{out}/phenotypes.svg"],
+    ["check", "--ctl", "AG(EF(c))", "--json", "-"],
+    ["check", "--update", "sync", "--ctl", "EF(a & b)", "--json", "-",
+     "--expression-style", "dnf"],
+    ["render", "--dot", "{out}/stg.dot"],
+    ["render", "--update", "sync", "--attractor-file", "{seeds}"],
+    ["simulate", "--markers", "c", "--walks", "300", "--seed", "2",
+     "--json", "-"],
+    ["simulate", "--attractor-file", "{seeds}", "--markers", "a",
+     "--walks", "100", "--json", "-"],
+]
+
+
+def run_cli(kernel_cls, monkeypatch, tmp_path, capsys):
+    """Stdout and written files of every invocation on the kernel class."""
+    monkeypatch.setattr(_select, "Kernel", kernel_cls)
+    model = tmp_path / "model.bnet"
+    model.write_text(MODEL)
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text('["1000"]')
+    results = []
+    for i, argv in enumerate(INVOCATIONS):
+        out = tmp_path / f"{kernel_cls.__module__}-{i}"
+        out.mkdir()
+        argv = [arg.format(out=out, seeds=seeds) for arg in argv]
+        assert cli.run(argv[:1] + ["--bnet", str(model)] + argv[1:]) == 0
+        files = {path.name: path.read_bytes()
+                 for path in sorted(out.iterdir())}
+        results.append((capsys.readouterr().out, files))
+    return results
+
+
+def test_cli_matches_byte_for_byte(kernel_c, monkeypatch, tmp_path, capsys):
+    """Every subcommand writes the same bytes on both kernels."""
+    expected = run_cli(_kernel_py.Kernel, monkeypatch, tmp_path, capsys)
+    assert all(out or files for out, files in expected)
+    assert run_cli(kernel_c.Kernel, monkeypatch, tmp_path, capsys) == expected

@@ -3,11 +3,12 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from basinscope import report
 from basinscope.attractors import attractors
 from basinscope.basins import basin_triples
 from basinscope.diagrams import commitment_diagram, commitment_sets
 from basinscope.report import (
-    RenderConfig, basin_barplot_svg, basin_piechart_svg, diagram_to_dot,
+    basin_barplot_svg, basin_piechart_svg, diagram_to_dot,
     pie_slices, small_stg_to_dot)
 
 _DOT_NODE = re.compile(r"^\s*\w+\s*\[[^\]]*\];$")
@@ -57,10 +58,10 @@ def test_small_stg_dot_toggle(toggle_ts):
     assert dot == small_stg_to_dot(toggle_ts, colouring, attractor_states)
 
 
-def test_small_stg_limit(toggle_ts):
-    cfg = RenderConfig(small_stg_limit=2)
+def test_small_stg_limit(toggle_ts, monkeypatch):
+    monkeypatch.setattr(report, "SMALL_STG_LIMIT", 2)
     with pytest.raises(ValueError, match="diagram view"):
-        small_stg_to_dot(toggle_ts, {}, cfg=cfg)
+        small_stg_to_dot(toggle_ts, {})
 
 
 def test_barplot_svg(toggle_ts):
@@ -105,14 +106,9 @@ def test_bar_segments_nested(toggle_ts):
 
 
 def test_percent_vs_absolute_rendering():
-    cfg = RenderConfig(percent_threshold=2)
-    svg = basin_piechart_svg([("A1", 1), ("A2", 1)], 4, cfg)
-    assert "%" in svg
-    cfg_abs = RenderConfig(percent_threshold=1024)
-    svg_abs = basin_piechart_svg([("A1", 1), ("A2", 1)], 4, cfg_abs)
-    assert "A1: 1<" in svg_abs
-
-
-def test_render_config_validation():
-    with pytest.raises(ValueError):
-        RenderConfig(percent_threshold=0)
+    """Totals above 1024 states are labelled in percent, smaller ones in
+    states."""
+    svg = basin_piechart_svg([("A1", 256), ("A2", 256)], 2048)
+    assert "A1: 12.5%<" in svg
+    svg_abs = basin_piechart_svg([("A1", 256), ("A2", 256)], 1024)
+    assert "A1: 256<" in svg_abs and "%" not in svg_abs
