@@ -470,6 +470,59 @@ static PyObject *node_result(int32_t r)
     return r < 0 ? NULL : PyLong_FromLong(r);
 }
 
+/* A packed state is a Python int whose bit i holds variable i; the walks
+ * read and write it as (n + 63) / 64 little-endian 64-bit words. */
+static size_t state_words(const Kernel *k)
+{
+    return ((size_t)k->n + 63) / 64;
+}
+
+/* the words of the packed state o into w; ValueError unless 0 <= o < 2^n */
+static int arg_state(Kernel *k, PyObject *o, uint64_t *w)
+{
+    PyObject *x = PyNumber_Index(o);
+    if (x == NULL)
+        return -1;
+    size_t words = state_words(k);
+    PyObject *rest = x, *by = PyLong_FromLong(64);
+    Py_INCREF(rest);
+    for (size_t i = 0; i < words && rest != NULL && by != NULL; i++) {
+        w[i] = PyLong_AsUnsignedLongLongMask(rest);
+        PyObject *next = PyErr_Occurred() ? NULL : PyNumber_Rshift(rest, by);
+        Py_DECREF(rest);
+        rest = next;
+    }
+    Py_XDECREF(by);
+    /* a negative state keeps -1 in its rest */
+    int beyond = rest == NULL || by == NULL ? -1 : PyObject_IsTrue(rest);
+    Py_XDECREF(rest);
+    if (beyond == 0 && k->n % 64 != 0 && (w[words - 1] >> (k->n % 64)) != 0)
+        beyond = 1;
+    if (beyond == 1)
+        PyErr_Format(PyExc_ValueError, "state %R out of range for %d variables",
+                     x, k->n);
+    Py_DECREF(x);
+    return beyond == 0 ? 0 : -1;
+}
+
+/* the packed state of the words w, as a new reference */
+static PyObject *pack_state(const uint64_t *w, size_t words)
+{
+    PyObject *x = PyLong_FromUnsignedLongLong(words > 0 ? w[words - 1] : 0);
+    for (size_t i = words; i > 1 && x != NULL; i--) {
+        PyObject *by = PyLong_FromLong(64);
+        PyObject *high = by == NULL ? NULL : PyNumber_Lshift(x, by);
+        PyObject *low = high == NULL ? NULL
+                                     : PyLong_FromUnsignedLongLong(w[i - 2]);
+        Py_DECREF(x);
+        x = low == NULL ? NULL : PyNumber_Or(high, low);
+        Py_XDECREF(by);
+        Py_XDECREF(high);
+        Py_XDECREF(low);
+    }
+    return x;
+}
+
 /* -- Kernel type --------------------------------------------------------- */
 
 static void Kernel_free_tables(Kernel *self)
@@ -755,6 +808,98 @@ fail:
     return NULL;
 }
 
+static PyObject *Kernel_contains(Kernel *self, PyObject *const *args,
+                                 Py_ssize_t nargs)
+{
+    int32_t f;
+    if (Kernel_ready(self) < 0 || check_nargs("contains", nargs, 2) < 0
+        || arg_node(self, args[0], &f) < 0 || check_unprimed(self, f) < 0)
+        return NULL;
+    uint64_t *x = malloc((state_words(self) + 1) * sizeof(uint64_t));
+    if (x == NULL)
+        return PyErr_NoMemory();
+    if (arg_state(self, args[1], x) < 0) {
+        free(x);
+        return NULL;
+    }
+    while (f >= 2) {
+        Node nd = self->nodes[f];
+        int32_t v = nd.level >> 1;
+        f = (x[v >> 6] >> (v & 63)) & 1 ? nd.high : nd.low;
+    }
+    free(x);
+    return PyBool_FromLong(f);
+}
+
+/* depth-first over the variables, y_i = 0 first, like Kernel_states: an
+ * entry is the node of r for the slots from 2i on, reached with variable
+ * i - 1 of y set to c.  The unprimed slot of variable i follows x; the
+ * primed slot branches, also where r skips it. */
+static PyObject *Kernel_successors(Kernel *self, PyObject *const *args,
+                                   Py_ssize_t nargs)
+{
+    int32_t r;
+    if (Kernel_ready(self) < 0 || check_nargs("successors", nargs, 2) < 0
+        || arg_node(self, args[0], &r) < 0)
+        return NULL;
+    int n = self->n;
+    size_t words = state_words(self);
+    PyObject *out = NULL;
+    uint64_t *x = malloc(2 * (words + 1) * sizeof(uint64_t));
+    Visit *stack = malloc(((size_t)n + 2) * sizeof(Visit));
+    if (x == NULL || stack == NULL) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    uint64_t *y = x + words + 1;
+    memset(y, 0, (words + 1) * sizeof(uint64_t));
+    if (arg_state(self, args[1], x) < 0 || (out = PyList_New(0)) == NULL)
+        goto fail;
+    size_t top = 0;
+    if (r != 0)
+        stack[top++] = (Visit){r, 0, 0};
+    while (top > 0) {
+        Visit v = stack[--top];
+        if (v.i > 0) {
+            int32_t b = v.i - 1;
+            uint64_t bit = 1ULL << (b & 63);
+            y[b >> 6] = v.c ? y[b >> 6] | bit : y[b >> 6] & ~bit;
+        }
+        if (v.i == n) {
+            PyObject *state = pack_state(y, words);
+            int err = state == NULL || PyList_Append(out, state) < 0;
+            Py_XDECREF(state);
+            if (err)
+                goto fail;
+            continue;
+        }
+        int32_t g = v.g;
+        if (self->nodes[g].level == 2 * v.i) {
+            Node nd = self->nodes[g];
+            g = (x[v.i >> 6] >> (v.i & 63)) & 1 ? nd.high : nd.low;
+            if (g == 0)
+                continue;
+        }
+        int32_t lo = g, hi = g;
+        if (self->nodes[g].level == 2 * v.i + 1) {
+            lo = self->nodes[g].low;
+            hi = self->nodes[g].high;
+        }
+        if (hi != 0)
+            stack[top++] = (Visit){hi, v.i + 1, 1};
+        if (lo != 0)
+            stack[top++] = (Visit){lo, v.i + 1, 0};
+    }
+    free(x);
+    free(stack);
+    return out;
+fail:
+    free(x);
+    free(stack);
+    Py_XDECREF(out);
+    return NULL;
+}
+
 static PyMethodDef Kernel_methods[] = {
     {"mk", (PyCFunction)(void (*)(void))Kernel_mk, METH_FASTCALL,
      "mk(level, low, high): the node (level, low, high), reduced."},
@@ -781,6 +926,13 @@ static PyMethodDef Kernel_methods[] = {
      "pick_min_state(f): lexicographically smallest satisfying state."},
     {"states", (PyCFunction)Kernel_states, METH_O,
      "states(f): satisfying states as bit strings, in lexicographic order."},
+    {"contains", (PyCFunction)(void (*)(void))Kernel_contains, METH_FASTCALL,
+     "contains(f, x): whether the packed state x (bit i = variable i) is in "
+     "the unprimed diagram f."},
+    {"successors", (PyCFunction)(void (*)(void))Kernel_successors,
+     METH_FASTCALL,
+     "successors(r, x): the packed states y with (x, y') in r, in "
+     "lexicographic order of their bit strings."},
     {NULL, NULL, 0, NULL},
 };
 

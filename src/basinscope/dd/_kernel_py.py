@@ -273,3 +273,50 @@ class Kernel:
             if lo != 0:
                 stack.append((lo, i + 1, "0"))
         return out
+
+    # -- walks over packed states (bit i holds variable i) ------------------
+
+    def _check_state(self, x: int):
+        if x < 0 or x >> self.n:
+            raise ValueError(
+                f"state {x!r} out of range for {self.n} variables")
+
+    def contains(self, f: int, x: int) -> bool:
+        """Whether the packed state x is in the unprimed diagram f."""
+        self._check_unprimed(f)
+        self._check_state(x)
+        level, low, high = self._level, self._low, self._high
+        while f >= 2:
+            f = high[f] if (x >> (level[f] >> 1)) & 1 else low[f]
+        return f == 1
+
+    def successors(self, r: int, x: int) -> list[int]:
+        """The packed states y with (x, y') in r, in lexicographic order of
+        their bit strings."""
+        self._check_state(x)
+        n = self.n
+        level, low, high = self._level, self._low, self._high
+        out = []
+        # depth-first, y_i = 0 first; an entry (g, i, y) is the node g of r
+        # for the slots from 2i on, with y's variables below i set.  The
+        # unprimed slot of variable i follows x; the primed slot branches,
+        # also where r skips it.
+        stack = [(r, 0, 0)] if r != 0 else []
+        while stack:
+            g, i, y = stack.pop()
+            if i == n:
+                out.append(y)
+                continue
+            if level[g] == 2 * i:
+                g = high[g] if (x >> i) & 1 else low[g]
+                if g == 0:
+                    continue
+            if level[g] == 2 * i + 1:
+                lo, hi = low[g], high[g]
+            else:
+                lo = hi = g
+            if hi != 0:
+                stack.append((hi, i + 1, y | 1 << i))
+            if lo != 0:
+                stack.append((lo, i + 1, y))
+        return out

@@ -51,25 +51,29 @@ def dnf_states(m: DdManager, f: int) -> BoolExpr:
 def factored(m: DdManager, f: int) -> BoolExpr:
     """Nested expression mirroring the diagram: (v & high) | (!v & low)."""
     memo: dict[int, BoolExpr] = {0: Const(0), 1: Const(1)}
-
-    def rec(g: int) -> BoolExpr:
-        cached = memo.get(g)
-        if cached is not None:
-            return cached
+    # post-order on an explicit stack, high branch first
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if g in memo:
+            stack.pop()
+            continue
         lvl, lo, hi = m.node(g)
+        if hi not in memo:
+            stack.append(hi)
+            continue
+        if lo not in memo:
+            stack.append(lo)
+            continue
+        stack.pop()
         v = Var(lvl // 2)
-        hi_e = rec(hi)
-        lo_e = rec(lo)
         terms = []
         if hi != 0:
-            terms.append(v if hi == 1 else make_and([v, hi_e]))
+            terms.append(v if hi == 1 else make_and([v, memo[hi]]))
         if lo != 0:
-            terms.append(Not(v) if lo == 1 else make_and([Not(v), lo_e]))
-        res = make_or(terms)
-        memo[g] = res
-        return res
-
-    return rec(f)
+            terms.append(Not(v) if lo == 1 else make_and([Not(v), memo[lo]]))
+        memo[g] = make_or(terms)
+    return memo[f]
 
 
 def isop_cover(m: DdManager, f: int) -> list[dict[int, int]]:
@@ -97,31 +101,51 @@ def _cofactors(m: DdManager, g: int, lvl: int) -> tuple[int, int]:
     return g, g
 
 
-def _isop(m: DdManager, L: int, U: int, memo) -> tuple[list, int]:
-    """Cover of any set between lower bound L and upper bound U."""
+def _isop_known(L: int, U: int, memo):
+    """The cover of a terminal or memoized interval, else None."""
     if L == 0:
         return [], 0
     if U == 1:
         return [{}], 1
-    key = (L, U)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
+    return memo.get((L, U))
+
+
+def _isop_frame(m: DdManager, L: int, U: int, memo):
+    """One level of the interval recursion as a generator: it yields each
+    sub-interval (L', U') and is sent back its (cubes, ref)."""
     lvl = min(m.node(L)[0] if L >= 2 else m.kernel.num_levels,
               m.node(U)[0] if U >= 2 else m.kernel.num_levels)
     v = lvl // 2
     L0, L1 = _cofactors(m, L, lvl)
     U0, U1 = _cofactors(m, U, lvl)
     # cubes that must carry the negative / positive literal of v
-    c0, C0 = _isop(m, m.apply(OP_DIFF, L0, U1), U0, memo)
-    c1, C1 = _isop(m, m.apply(OP_DIFF, L1, U0), U1, memo)
+    c0, C0 = yield m.apply(OP_DIFF, L0, U1), U0
+    c1, C1 = yield m.apply(OP_DIFF, L1, U0), U1
     # remainder coverable without referencing v
     Lrem = m.apply(OP_OR, m.apply(OP_DIFF, L0, C0), m.apply(OP_DIFF, L1, C1))
     Urem = m.apply(OP_AND, U0, U1)
-    cd, Cd = _isop(m, Lrem, Urem, memo)
+    cd, Cd = yield Lrem, Urem
     cubes = ([{v: 0, **c} for c in c0]
              + [{v: 1, **c} for c in c1]
              + cd)
     ref = m.kernel.mk(lvl, m.apply(OP_OR, C0, Cd), m.apply(OP_OR, C1, Cd))
-    memo[key] = (cubes, ref)
+    memo[(L, U)] = (cubes, ref)
     return cubes, ref
+
+
+def _isop(m: DdManager, L: int, U: int, memo) -> tuple[list, int]:
+    """Cover of any set between lower bound L and upper bound U, one
+    suspended frame per level on an explicit stack."""
+    result = _isop_known(L, U, memo)
+    stack = [] if result is not None else [_isop_frame(m, L, U, memo)]
+    while stack:
+        try:
+            sub = stack[-1].send(result)
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+            continue
+        result = _isop_known(*sub, memo)
+        if result is None:
+            stack.append(_isop_frame(m, *sub, memo))
+    return result

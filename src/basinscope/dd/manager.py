@@ -166,14 +166,9 @@ class DdManager:
         """Lexicographically smallest satisfying state (0 < 1)."""
         return self.kernel.pick_min_state(f)
 
-    def eval_state(self, f: int, bits) -> int:
+    def eval_state(self, f: int, bits) -> bool:
         """Membership test of a concrete state (unprimed diagram)."""
-        k = self.kernel
-        cur = f
-        while cur >= 2:
-            lvl = k.level_of(cur)
-            cur = k.high_of(cur) if bits[lvl // 2] else k.low_of(cur)
-        return cur
+        return self.kernel.contains(f, sum(b << i for i, b in enumerate(bits)))
 
     def iter_states(self, f: int):
         """Iterate over the satisfying states as bit strings, in

@@ -9,8 +9,7 @@ from dataclasses import dataclass, field
 from .attractors import Attractor
 from .basins import strong_basin, weak_basin
 from .dd import OP_AND, OP_DIFF, StateSet
-from .model import eval_expr
-from .stg import TransitionSystem, UpdateMode
+from .stg import TransitionSystem
 
 
 class DiagramError(RuntimeError):
@@ -233,8 +232,8 @@ def diagram_to_json(diagram: Diagram, expressions: dict | None = None) -> dict:
 # ---------------------------------------------------------------------------
 # trajectory-based phenotype reachability
 
-# Most states a simulation keeps in each of its step and start-state tables;
-# a state past the limit is computed again on every visit.
+# Most states a simulation keeps in its step table; a state past the limit
+# is computed again on every visit.
 STEP_TABLE_LIMIT = 1 << 16
 
 
@@ -255,17 +254,17 @@ def simulate_phenotype_reachability(
     """Estimate phenotype reachability by uniform random walks.
 
     Each walk starts from a uniformly random admissible state and takes
-    uniformly random admissible transitions until it enters some attractor;
-    the phenotype of that attractor is recorded.  Walk length is capped;
-    capped walks are excluded from the frequencies and counted separately.
-    Deterministic for a fixed seed, independent of merge order, because
-    every walk derives its own generator from (seed, walk index).
+    uniformly random transitions of the relation, self-loops left out,
+    until it enters some attractor; the phenotype of that attractor is
+    recorded.  Walk length is capped; capped walks are excluded from the
+    frequencies and counted separately.  Deterministic for a fixed seed,
+    independent of merge order, because every walk derives its own
+    generator from (seed, walk index).
     """
     if walks < 1:
         raise ValueError("need at least one walk")
-    m = ts.manager
+    contains = ts.manager.kernel.contains
     n = ts.n
-    updates = ts.net.updates
     space_ref = ts.space_ref
     phenotype_of_attr = {}
     for p in phenotypes:
@@ -275,40 +274,23 @@ def simulate_phenotype_reachability(
     cap = 64 * (1 << min(n, 20))
     counts: dict[int, int] = {p.index: 0 for p in phenotypes}
     capped = 0
-    sync = ts.mode is UpdateMode.SYNC
     # States are packed into ints, bit i holding variable i.  A packed state
     # maps to (attractor hit, successors), since walks revisit the same
-    # states; an async successor is stored as the index of the variable it
-    # flips, a sync one as the packed image.
+    # states.
     steps_of: dict[int, tuple] = {}
-    admissible: dict[int, int] = {}
-
-    def unpack(x: int) -> list[int]:
-        return [(x >> i) & 1 for i in range(n)]
 
     def step(x: int) -> tuple:
-        """The first attractor (in attrs order) containing x, else None, and
-        the admissible successors of x in ascending variable order."""
-        known = steps_of.get(x)
-        if known is not None:
-            return known
-        bits = unpack(x)
-        hit = next((idx for idx, ref in attractor_refs
-                    if m.eval_state(ref, bits)), None)
-        succs = []
+        """The entry of x, kept while the table has room: the first
+        attractor (in attrs order) containing x, else None, and the
+        successors of x other than x itself.  They come in ascending order
+        of the variable an async step flips; a sync state has one."""
+        hit = next((idx for idx, ref in attractor_refs if contains(ref, x)),
+                   None)
+        succs = ()
         if hit is None:
-            fx = [eval_expr(u, bits) for u in updates]
-            if sync:
-                if m.eval_state(space_ref, fx):
-                    succs.append(sum(b << i for i, b in enumerate(fx)))
-            else:
-                for i in range(n):
-                    if fx[i] != bits[i]:
-                        bits[i] = fx[i]
-                        if m.eval_state(space_ref, bits):
-                            succs.append(i)
-                        bits[i] = 1 - fx[i]
-        entry = (hit, tuple(succs))
+            succs = tuple(sorted((y for y in ts.successors(x) if y != x),
+                                 key=lambda y: x ^ y))
+        entry = (hit, succs)
         if len(steps_of) < STEP_TABLE_LIMIT:
             steps_of[x] = entry
         return entry
@@ -320,22 +302,17 @@ def simulate_phenotype_reachability(
             x = 0
             for i in range(n):
                 x |= rng.randrange(2) << i
-            ok = admissible.get(x)
-            if ok is None:
-                ok = m.eval_state(space_ref, unpack(x))
-                if len(admissible) < STEP_TABLE_LIMIT:
-                    admissible[x] = ok
-            if ok:
+            if contains(space_ref, x):
                 break
         steps = 0
         while True:
-            hit, succs = step(x)
-            # no successor outside every attractor is a totalized self-loop
-            # of a partial unit list: the walk counts as capped
+            hit, succs = steps_of.get(x) or step(x)
+            # a state outside every attractor whose only transition is a
+            # self-loop (a steady state or a totalized deadlock missing from
+            # a partial unit list): the walk counts as capped
             if hit is not None or steps >= cap or not succs:
                 break
-            j = succs[rng.randrange(len(succs))]
-            x = j if sync else x ^ (1 << j)
+            x = succs[rng.randrange(len(succs))]
             steps += 1
         if hit is None:
             capped += 1

@@ -94,10 +94,13 @@ def small_stg_to_dot(ts: TransitionSystem, colouring: dict,
         if s in attractor_states:
             attrs.append("peripheries=2")
         lines.append(f'  s{s} [{", ".join(attrs)}];')
-    for s in states:
-        for t in ts.image(ts.state_set([s])).states():
-            if t != s:
-                lines.append(f"  s{s} -> s{t};")
+    # bit i of a packed state is variable i, the i-th character of s
+    packed = {int(s[::-1], 2): s for s in states}
+    for x, s in packed.items():
+        # successors come in the order of their bit strings
+        for y in ts.successors(x):
+            if y != x:
+                lines.append(f"  s{s} -> s{packed[y]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -61,6 +61,12 @@ class TransitionSystem:
         self._preimage_cache[x] = res
         return res
 
+    def successors(self, x: int) -> list[int]:
+        """Successors of the packed state x (bit i holds variable i), read
+        from the relation, self-loops included, in lexicographic order of
+        their bit strings."""
+        return self.manager.kernel.successors(self.relation, x)
+
     def image(self, x: StateSet) -> StateSet:
         return self.set_of(self.image_ref(x.ref))
 

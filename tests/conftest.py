@@ -10,6 +10,12 @@ REPRESSILATOR = "a, !c\nb, a\nc, b\n"
 # seed is a pattern over the transient states 110 and 111
 OVERLAP = "a, b & !b\nb, !a\nc, b\n"
 OVERLAP_SEEDS = [{"a": 0, "b": 1, "c": 1}, {"a": 1, "b": 1}]
+# a van Ham pair (x_high on with x_medium off is not admissible): one
+# steady and one cyclic async attractor, and which one a walk enters
+# depends on the order of its draws; sync images that leave the space
+# self-loop
+VAN_HAM = ("x_medium, !a | x_high\nx_high, x_medium\n"
+           "a, x_medium & !a | !x_high\nb, x_medium | a\nc, !a | x_medium\n")
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from basinscope.cli import run
-from conftest import CHAIN, OVERLAP, OVERLAP_SEEDS, TOGGLE
+from conftest import CHAIN, OVERLAP, OVERLAP_SEEDS, TOGGLE, VAN_HAM
 
 
 @pytest.fixture
@@ -99,6 +99,24 @@ def test_simulate_output(toggle_file, capsys):
         "--walks", "400", "--seed", "5", "--json", "-"])
     assert payload["walks"] == 400
     assert abs(sum(payload["frequencies"].values()) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("mode, frequencies", [
+    ("async", {"10": 0.34, "*1": 0.66}),
+    ("sync", {"10": 0.205, "11": 0.27, "*1": 0.525}),
+])
+def test_simulate_draw_order_is_pinned(tmp_path, capsys, mode, frequencies):
+    """Walks draw their successors in a fixed order (ascending flipped
+    variable in async mode) among the admissible ones only; changing
+    either changes these frequencies."""
+    model = tmp_path / "van_ham.bnet"
+    model.write_text(VAN_HAM)
+    assert run(["simulate", "--bnet", str(model), "--update", mode,
+                "--markers", "a,c", "--walks", "200", "--seed", "7",
+                "--json", "-"]) == 0
+    assert capsys.readouterr().out == json.dumps(
+        {"markers": ["a", "c"], "walks": 200, "capped": 0, "seed": 7,
+         "frequencies": frequencies}, indent=2) + "\n"
 
 
 def test_render_output(toggle_file, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -227,3 +228,26 @@ def test_simulation_step_table_limit_changes_nothing(mode, monkeypatch):
         runs.append((res.frequencies, res.capped))
     assert runs[0] == runs[1]
     assert runs[0][1] > 0
+
+
+def test_sync_walk_ends_on_a_steady_state_missing_from_the_list(monkeypatch):
+    """On the identity network every state is steady; with only 0...0
+    imported, a sync walk from any other state ends at once as capped
+    instead of stepping to the cap.  Each walk draws only its start."""
+    n = 14
+    ts = build(parse_bnet("".join(f"v{i}, v{i}\n" for i in range(n))),
+               UpdateMode.SYNC)
+    attrs = import_attractors(ts, ["0" * n])
+    phenos = compute_phenotypes(ts, attrs, ["v0"])
+    draws = []
+
+    class CountingRandom(random.Random):
+        def randrange(self, *args):
+            draws.append(args)
+            return super().randrange(*args)
+
+    monkeypatch.setattr(diagrams, "random",
+                        SimpleNamespace(Random=CountingRandom))
+    res = simulate_phenotype_reachability(ts, phenos, attrs, 3, 0)
+    assert (res.frequencies, res.walks, res.capped) == ({1: 0.0}, 3, 3)
+    assert len(draws) == 3 * n

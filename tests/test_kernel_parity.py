@@ -18,8 +18,11 @@ from hypothesis import strategies as st
 from basinscope import cli
 from basinscope.attractors import attractors
 from basinscope.basins import basin_triples
-from basinscope.dd import DdManager, _kernel_py, _select
+from basinscope.dd import (
+    DdManager, ExprStyle, _kernel_py, _select, to_expression)
+from basinscope.model import Var, make_and
 from basinscope.stg import build
+from conftest import VAN_HAM
 from oracle import random_network
 
 SOURCE = Path(_kernel_py.__file__).with_name("_kernel_c.c")
@@ -184,6 +187,83 @@ def test_state_walks_match(kernel_c, steps, n_vars):
                             "cannot pick a state from the empty set")
 
 
+def cube(kernel, x):
+    """Diagram of the packed state x (bit i holds variable i)."""
+    acc = 1
+    for i in reversed(range(kernel.n)):
+        acc = (kernel.mk(2 * i, 0, acc) if x >> i & 1
+               else kernel.mk(2 * i, acc, 0))
+    return acc
+
+
+def eval_by_walk(kernel, f, x):
+    """Membership of x in f by a walk over the kernel's accessors (the
+    former DdManager.eval_state)."""
+    while f >= 2:
+        level = kernel.level_of(f)
+        f = kernel.high_of(f) if x >> (level // 2) & 1 else kernel.low_of(f)
+    return f == 1
+
+
+def successors_by_image(kernel, r, x):
+    """Packed successors of x in r through the relational product: the
+    primed image of the cube of x, renamed and listed as bit strings."""
+    image = kernel.shift(-1, kernel.and_exists(0, r, cube(kernel, x)))
+    return [int(s[::-1], 2) for s in kernel.states(image)]
+
+
+def packed_walks(kernel, nodes):
+    """contains of every node and successors of the given nodes, for every
+    state and one state out of range on each side, or the errors raised."""
+    out = []
+    states = list(range(-1, 2 ** kernel.n + 1))
+    for f in range(kernel.num_nodes()):
+        for walk, x_of in ((kernel.contains, states),
+                           (kernel.successors, states if f in nodes else [])):
+            for x in x_of:
+                try:
+                    out.append(walk(f, x))
+                except ValueError as exc:
+                    out.append(str(exc))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(steps=STEPS, n_vars=st.integers(1, 4))
+def test_packed_state_walks_match(kernel_c, steps, n_vars):
+    """contains and successors give the same results and errors on both
+    kernels; contains agrees with a walk over the accessors and successors
+    with the relational product, in the order of the bit strings."""
+    results = []
+    for module in (_kernel_py, kernel_c):
+        kernel = module.Kernel(n_vars)
+        trace, _ = run_ops(kernel, steps)
+        nodes = {0, 1, *[r for r in trace if isinstance(r, int)][-8:]}
+        results.append(packed_walks(kernel, nodes))
+        for f in range(kernel.num_nodes()):
+            for x in range(2 ** n_vars):
+                if not kernel.has_primed(f):
+                    assert kernel.contains(f, x) == eval_by_walk(kernel, f, x)
+                if f in nodes:
+                    assert kernel.successors(f, x) == \
+                        successors_by_image(kernel, f, x)
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("module", ["py", "c"])
+def test_packed_state_errors(kernel_c, module):
+    kernel = (_kernel_py if module == "py" else kernel_c).Kernel(3)
+    f, primed = kernel.var(2), kernel.var(3)
+    for x in (-1, 8, -(1 << 70), 1 << 70):
+        for walk in (kernel.contains, kernel.successors):
+            with pytest.raises(ValueError,
+                               match=f"state {x} out of range for 3 variables"):
+                walk(f, x)
+    with pytest.raises(ValueError, match="primed"):
+        kernel.contains(primed, 0)
+    assert kernel.successors(primed, 0) == [2, 6, 3, 7]
+
+
 @pytest.fixture(params=["py", "c"])
 def manager_on(request, monkeypatch):
     """DdManager factory on the named kernel backend."""
@@ -206,6 +286,32 @@ def test_walks_of_a_deep_diagram(manager_on):
         others = m.kernel.mk(2 * i, 1, others)
     assert m.count_states(others) == 2 ** n - 1
     assert m.pick_min_state(others) == "0" * n
+    ones = 2 ** n - 1
+    k = m.kernel
+    assert k.contains(cube, ones)
+    assert m.eval_state(cube, [1] * n)
+    for i in (0, 63, 64, n - 1):
+        assert not k.contains(cube, ones ^ 1 << i)
+        assert k.contains(others, ones ^ 1 << i)
+    assert not k.contains(others, ones)
+    # every variable keeps its value but the last, which is free: the
+    # relation skips its primed slot
+    relation = 1
+    for i in reversed(range(n - 1)):
+        relation = k.mk(2 * i, k.mk(2 * i + 1, relation, 0),
+                        k.mk(2 * i + 1, 0, relation))
+    x = ones ^ 1 << 64 ^ 1 << (n - 1)
+    assert k.successors(relation, x) == [x, x | 1 << (n - 1)]
+    assert k.successors(relation, ones) == [ones ^ 1 << (n - 1), ones]
+
+
+@pytest.mark.parametrize("style", [ExprStyle.FACTORED, ExprStyle.ISOP])
+def test_export_of_a_deep_diagram(manager_on, style):
+    n = 1200
+    m = manager_on(n)
+    cube = m.cube_from_state([1] * n)
+    assert to_expression(m, cube, style) == make_and(
+        [Var(i) for i in range(n)])
 
 
 def test_walks_reject_a_deep_primed_node(manager_on):
@@ -277,22 +383,31 @@ INVOCATIONS = [
      "--json", "-"],
     ["simulate", "--attractor-file", "{seeds}", "--markers", "a",
      "--walks", "100", "--json", "-"],
+    ["render", "--bnet", "{van_ham}", "--dot", "{out}/van_ham.dot"],
+    ["simulate", "--bnet", "{van_ham}", "--update", "sync", "--markers",
+     "a,c", "--walks", "300", "--seed", "4", "--json", "-"],
 ]
 
 
 def run_cli(kernel_cls, monkeypatch, tmp_path, capsys):
-    """Stdout and written files of every invocation on the kernel class."""
+    """Stdout and written files of every invocation on the kernel class;
+    an invocation without --bnet runs on MODEL."""
     monkeypatch.setattr(_select, "Kernel", kernel_cls)
     model = tmp_path / "model.bnet"
     model.write_text(MODEL)
+    van_ham = tmp_path / "van_ham.bnet"
+    van_ham.write_text(VAN_HAM)
     seeds = tmp_path / "seeds.json"
     seeds.write_text('["1000"]')
     results = []
     for i, argv in enumerate(INVOCATIONS):
         out = tmp_path / f"{kernel_cls.__module__}-{i}"
         out.mkdir()
-        argv = [arg.format(out=out, seeds=seeds) for arg in argv]
-        assert cli.run(argv[:1] + ["--bnet", str(model)] + argv[1:]) == 0
+        argv = [arg.format(out=out, seeds=seeds, van_ham=van_ham)
+                for arg in argv]
+        if "--bnet" not in argv:
+            argv[1:1] = ["--bnet", str(model)]
+        assert cli.run(argv) == 0
         files = {path.name: path.read_bytes()
                  for path in sorted(out.iterdir())}
         results.append((capsys.readouterr().out, files))

@@ -2,9 +2,12 @@ import random
 
 import pytest
 
-from basinscope.model import parse_bnet
+from basinscope.model import (
+    BooleanNetwork, VariableTable, detect_van_ham_pairs, eval_expr,
+    parse_bnet)
 from basinscope.stg import UpdateMode, build, steady_states
-from oracle import explicit_stg, random_network
+from oracle import (
+    all_states, bits_of, explicit_stg, random_network, successors)
 
 
 def relation_pairs(ts):
@@ -96,3 +99,59 @@ def test_duality_image_preimage():
             x, y = ts.state_set(xs), ts.state_set(ys)
             assert ((ts.image(x) & y).is_empty()
                     == (x & ts.preimage(y)).is_empty())
+
+
+def with_van_ham_pair(net, medium, high):
+    """net with variables `medium` and `high` renamed to a van Ham pair,
+    so that the state with x_high on and x_medium off is not admissible."""
+    names = list(net.variables.names)
+    names[medium], names[high] = "x_medium", "x_high"
+    return detect_van_ham_pairs(
+        BooleanNetwork(VariableTable(tuple(names)), net.updates))
+
+
+def packed(s):
+    return int(s[::-1], 2)
+
+
+@pytest.mark.parametrize("mode", ["async", "sync"])
+@pytest.mark.parametrize("van_ham", [False, True])
+def test_successors_match_explicit_construction(mode, van_ham):
+    """Successors of every admissible state, read from the relation, are
+    the oracle's, totalizing self-loops included, in bit-string order."""
+    rng = random.Random(7)
+    for _ in range(20):
+        n = rng.randrange(2, 7)
+        net = random_network(rng, n)
+        if van_ham:
+            net = with_van_ham_pair(net, *rng.sample(range(n), 2))
+        ts = build(net, UpdateMode(mode))
+        adj = explicit_stg(net, mode)
+        for s in all_states(n):
+            assert ts.successors(packed(s)) == \
+                [packed(t) for t in sorted(adj.get(s, []))]
+
+
+@pytest.mark.parametrize("mode", ["async", "sync"])
+def test_successors_of_states_wider_than_a_word(mode):
+    """A 70-variable ring whose van Ham pair straddles bits 63 and 64."""
+    n = 70
+    rng = random.Random(70)
+    lines = []
+    for i in range(n):
+        a, b = f"v{(i - 1) % n}", f"v{(i + 1) % n}"
+        lines.append(f"v{i}, " + rng.choice(
+            [f"{a} & !{b}", f"!{a} | {b}", f"{a}", f"!{b}"]))
+    net = with_van_ham_pair(parse_bnet("\n".join(lines)), 63, 64)
+
+    class Space:
+        def __contains__(self, s):
+            return eval_expr(net.admissibility, bits_of(s))
+
+    ts = build(net, UpdateMode(mode))
+    for _ in range(50):
+        s = "".join(rng.choice("01") for _ in range(n))
+        if s[63:65] == "01":
+            continue
+        expected = successors(net, s, mode, Space())
+        assert ts.successors(packed(s)) == [packed(t) for t in sorted(expected)]
