@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 from .dd import OP_AND, OP_DIFF, StateSet
 from .model import Not, Var, make_and
-from .stg import TransitionSystem, steady_states  # noqa: F401 - re-export
+from .stg import (  # noqa: F401 - steady_states is a re-export
+    TransitionSystem, UpdateMode, steady_states)
 
 
 class AttractorKind(enum.Enum):
@@ -28,10 +29,8 @@ class Attractor:
     states: StateSet
     representative: str
     kind: AttractorKind
+    size: int  # number of states
     unverified: bool = False
-
-    def size(self) -> int:
-        return self.states.count()
 
 
 def _scc(ts: TransitionSystem, pivot: int) -> tuple[int, int, int]:
@@ -53,10 +52,37 @@ def _numbered(ts: TransitionSystem, entries) -> list[Attractor]:
     result = []
     for i, (rep, ref, unverified) in enumerate(keyed, start=1):
         states = ts.set_of(ref)
-        kind = (AttractorKind.STEADY if states.count() == 1
-                else AttractorKind.CYCLIC)
-        result.append(Attractor(i, states, rep, kind, unverified=unverified))
+        size = states.count()
+        kind = AttractorKind.STEADY if size == 1 else AttractorKind.CYCLIC
+        result.append(Attractor(i, states, rep, kind, size, unverified))
     return result
+
+
+def _recurrent_ref(ts: TransitionSystem) -> int:
+    """States that lie on a cycle of a deterministic STG: the greatest
+    fixpoint of Z = Z & image(Z), from the space."""
+    m = ts.manager
+    z = ts.space_ref
+    while True:
+        nz = m.apply(OP_AND, z, ts.image_ref(z))
+        if nz == z:
+            return z
+        z = nz
+
+
+def _sync_cycles(ts: TransitionSystem) -> list[tuple[int, bool]]:
+    """Attractors of a deterministic STG.  Each state has one successor,
+    so every cycle is terminal and is the forward reach of any of its
+    states; the smallest recurrent state left names the next one."""
+    m = ts.manager
+    recurrent = _recurrent_ref(ts)
+    found = []
+    while recurrent != 0:
+        cycle = ts.forward_reach_ref(
+            m.from_states([m.pick_min_state(recurrent)]))
+        found.append((cycle, False))
+        recurrent = m.apply(OP_DIFF, recurrent, cycle)
+    return found
 
 
 def attractors(ts: TransitionSystem) -> list[Attractor]:
@@ -66,7 +92,10 @@ def attractors(ts: TransitionSystem) -> list[Attractor]:
     state; if it has no escaping transition it is an attractor and its whole
     backward closure is removed from the candidates, otherwise only the SCC
     is removed and the next pivot is preferred among its forward escape.
+    Synchronous dynamics are deterministic and take `_sync_cycles` instead.
     """
+    if ts.mode is UpdateMode.SYNC:
+        return _numbered(ts, _sync_cycles(ts))
     m = ts.manager
     candidates = ts.space_ref
     preferred = 0

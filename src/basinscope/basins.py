@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from .attractors import Attractor
 from .ctl import AF, AG, EF, accept_ref, atom_states
 from .dd import StateSet
-from .stg import TransitionSystem
+from .stg import TransitionSystem, UpdateMode
 
 
 def weak_basin(ts: TransitionSystem, x: StateSet) -> StateSet:
@@ -58,12 +58,22 @@ def _info(s: StateSet, total: int) -> SizeInfo:
 
 
 def basin_triples(ts: TransitionSystem, attrs: list[Attractor]) -> list[BasinTriple]:
-    """One basin triple per attractor."""
+    """One basin triple per attractor.
+
+    A synchronous STG is deterministic: each state has one path, which
+    ends in one attractor.  So the three basins of a verified attractor
+    are all its backward reach.  Pattern seeds are not closed under the
+    dynamics and keep the three queries."""
     if not attrs:
         raise ValueError("need at least one attractor")
     total = ts.space_size()
     out = []
     for a in attrs:
+        if ts.mode is UpdateMode.SYNC and not a.unverified:
+            basin = ts.backward_reach(a.states)
+            info = _info(basin, total)
+            out.append(BasinTriple(a, basin, basin, basin, info, info, info))
+            continue
         rep = ts.state_set([a.representative])
         weak = weak_basin(ts, rep)
         strong = strong_basin(ts, rep)

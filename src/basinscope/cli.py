@@ -71,7 +71,7 @@ def _attractor_payload(a: Attractor) -> dict:
         "index": a.index,
         "representative": a.representative,
         "kind": a.kind.value,
-        "size": a.states.count(),
+        "size": a.size,
     }
     if a.unverified:
         payload["unverified"] = True

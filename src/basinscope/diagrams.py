@@ -4,12 +4,13 @@ phenotype reachability estimation."""
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .attractors import Attractor
 from .basins import strong_basin, weak_basin
 from .dd import OP_AND, OP_DIFF, StateSet
-from .stg import TransitionSystem
+from .stg import TransitionSystem, UpdateMode
 
 
 class DiagramError(RuntimeError):
@@ -69,12 +70,20 @@ def _quotient_nodes(ts: TransitionSystem, units: dict[int, StateSet],
     the node keeps only the block's states in the strong basin of the
     united representatives of I, which leaves out the states that may
     reach an attractor missing from the list.
+
+    In a synchronous STG every state reaches exactly one attractor, so the
+    weak basins of a complete list are pairwise disjoint and cover the
+    space: each is its own block, with no refinement.
     """
     m = ts.manager
     total = ts.space_size()
     weak = {i: weak_basin(ts, reps) for i, reps in units.items()}
+    if ts.mode is UpdateMode.SYNC and not partial:
+        blocks = [(weak[i].ref, (i,)) for i in sorted(weak)]
+    else:
+        blocks = _refine_by_weak_basins(ts, weak)
     nodes: dict[tuple[int, ...], DiagramNode] = {}
-    for ref, key in _refine_by_weak_basins(ts, weak):
+    for ref, key in blocks:
         if not key:
             if partial:
                 continue
@@ -101,16 +110,18 @@ def _quotient_edges(ts: TransitionSystem,
     m = ts.manager
     edges = set()
     keys = sorted(nodes, key=lambda k: (len(k), k))
-    for j_key in keys:
-        j_set = set(j_key)
+    key_sets = [frozenset(k) for k in keys]
+    lengths = [len(k) for k in keys]
+    for j, j_key in enumerate(keys):
         pre = None
-        for i_key in keys:
-            if i_key == j_key or not j_set < set(i_key):
+        # a proper superset is longer, so it follows j_key in the order
+        for i in range(bisect_right(lengths, lengths[j]), len(keys)):
+            if not key_sets[j] < key_sets[i]:
                 continue
             if pre is None:
                 pre = ts.preimage_ref(nodes[j_key].states.ref)
-            if m.apply(OP_AND, pre, nodes[i_key].states.ref) != 0:
-                edges.add((i_key, j_key))
+            if m.apply(OP_AND, pre, nodes[keys[i]].states.ref) != 0:
+                edges.add((keys[i], j_key))
     return edges
 
 
@@ -256,21 +267,33 @@ def simulate_phenotype_reachability(
     Each walk starts from a uniformly random admissible state and takes
     uniformly random transitions of the relation, self-loops left out,
     until it enters some attractor; the phenotype of that attractor is
-    recorded.  Walk length is capped; capped walks are excluded from the
-    frequencies and counted separately.  Deterministic for a fixed seed,
-    independent of merge order, because every walk derives its own
-    generator from (seed, walk index).
+    recorded.  Walk length is capped, and a walk that can no longer reach
+    a listed attractor ends at once as capped; capped walks are excluded
+    from the frequencies and counted separately.  Deterministic for a
+    fixed seed, independent of merge order, because every walk derives its
+    own generator from (seed, walk index).
     """
     if walks < 1:
         raise ValueError("need at least one walk")
-    contains = ts.manager.kernel.contains
+    m = ts.manager
+    contains = m.kernel.contains
     n = ts.n
     space_ref = ts.space_ref
     phenotype_of_attr = {}
     for p in phenotypes:
         for ai in p.attractor_indices:
             phenotype_of_attr[ai] = p.index
-    attractor_refs = [(a.index, a.states.ref) for a in attrs]
+    # A binary tree of unions in heap layout: leaf k + j holds attractor j
+    # and node i < k the union of nodes 2i and 2i + 1, so node 1 holds every
+    # listed attractor.  The attractors are disjoint, so a state in a node
+    # lies in exactly one of its children.
+    k = len(attrs)
+    tree = [0] * k + [a.states.ref for a in attrs]
+    for i in reversed(range(1, k)):
+        tree[i] = m.or_(tree[2 * i], tree[2 * i + 1])
+    units = tree[1] if attrs else 0
+    # a walk that leaves this set can never enter a listed attractor
+    reach = ts.backward_reach_ref(units)
     cap = 64 * (1 << min(n, 20))
     counts: dict[int, int] = {p.index: 0 for p in phenotypes}
     capped = 0
@@ -280,14 +303,19 @@ def simulate_phenotype_reachability(
     steps_of: dict[int, tuple] = {}
 
     def step(x: int) -> tuple:
-        """The entry of x, kept while the table has room: the first
-        attractor (in attrs order) containing x, else None, and the
-        successors of x other than x itself.  They come in ascending order
-        of the variable an async step flips; a sync state has one."""
-        hit = next((idx for idx, ref in attractor_refs if contains(ref, x)),
-                   None)
+        """The entry of x, kept while the table has room: the index of the
+        attractor containing x, else None, and the successors of x other
+        than x itself.  They come in ascending order of the variable an
+        async step flips; a sync state has one.  A state that cannot reach
+        a listed attractor gets none."""
+        hit = None
+        if contains(units, x):
+            i = 1
+            while i < k:
+                i = 2 * i if contains(tree[2 * i], x) else 2 * i + 1
+            hit = attrs[i - k].index
         succs = ()
-        if hit is None:
+        if hit is None and contains(reach, x):
             succs = tuple(sorted((y for y in ts.successors(x) if y != x),
                                  key=lambda y: x ^ y))
         entry = (hit, succs)
@@ -307,9 +335,9 @@ def simulate_phenotype_reachability(
         steps = 0
         while True:
             hit, succs = steps_of.get(x) or step(x)
-            # a state outside every attractor whose only transition is a
-            # self-loop (a steady state or a totalized deadlock missing from
-            # a partial unit list): the walk counts as capped
+            # a state that cannot reach a listed attractor (a steady state
+            # or a totalized deadlock missing from a partial unit list, say)
+            # has no successors left: the walk counts as capped
             if hit is not None or steps >= cap or not succs:
                 break
             x = succs[rng.randrange(len(succs))]

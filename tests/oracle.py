@@ -12,8 +12,8 @@ import random
 from itertools import product
 
 from basinscope.model import (
-    And, BooleanNetwork, Const, Not, Or, Var, VariableTable, eval_expr,
-    make_and, make_or)
+    And, BooleanNetwork, Const, Not, Or, Var, VariableTable,
+    detect_van_ham_pairs, eval_expr, make_and, make_or)
 
 
 def all_states(n):
@@ -304,3 +304,12 @@ def random_network(rng: random.Random, n: int) -> BooleanNetwork:
     updates = tuple(random_expr(rng, n, rng.randrange(1, 4))
                     for _ in range(n))
     return BooleanNetwork(VariableTable(names), updates)
+
+
+def with_van_ham_pair(net, medium, high):
+    """net with variables `medium` and `high` renamed to a van Ham pair,
+    so that the state with x_high on and x_medium off is not admissible."""
+    names = list(net.variables.names)
+    names[medium], names[high] = "x_medium", "x_high"
+    return detect_van_ham_pairs(
+        BooleanNetwork(VariableTable(tuple(names)), net.updates))

@@ -230,7 +230,22 @@ def test_simulation_step_table_limit_changes_nothing(mode, monkeypatch):
     assert runs[0][1] > 0
 
 
-def test_sync_walk_ends_on_a_steady_state_missing_from_the_list(monkeypatch):
+@pytest.fixture
+def draws(monkeypatch):
+    """The arguments of every randrange call the simulator makes."""
+    calls = []
+
+    class CountingRandom(random.Random):
+        def randrange(self, *args):
+            calls.append(args)
+            return super().randrange(*args)
+
+    monkeypatch.setattr(diagrams, "random",
+                        SimpleNamespace(Random=CountingRandom))
+    return calls
+
+
+def test_sync_walk_ends_on_a_steady_state_missing_from_the_list(draws):
     """On the identity network every state is steady; with only 0...0
     imported, a sync walk from any other state ends at once as capped
     instead of stepping to the cap.  Each walk draws only its start."""
@@ -239,15 +254,22 @@ def test_sync_walk_ends_on_a_steady_state_missing_from_the_list(monkeypatch):
                UpdateMode.SYNC)
     attrs = import_attractors(ts, ["0" * n])
     phenos = compute_phenotypes(ts, attrs, ["v0"])
-    draws = []
+    res = simulate_phenotype_reachability(ts, phenos, attrs, 3, 0)
+    assert (res.frequencies, res.walks, res.capped) == ({1: 0.0}, 3, 3)
+    assert len(draws) == 3 * n
 
-    class CountingRandom(random.Random):
-        def randrange(self, *args):
-            draws.append(args)
-            return super().randrange(*args)
 
-    monkeypatch.setattr(diagrams, "random",
-                        SimpleNamespace(Random=CountingRandom))
+def test_async_walk_ends_where_no_listed_attractor_is_reachable(draws):
+    """A repressilator beside 11 fixed variables has one cyclic attractor
+    per assignment of them; with only the one at 0...0 imported, a walk
+    that starts elsewhere can never reach it and ends at once as capped,
+    where it would cycle to the cap.  Each walk draws only its start."""
+    n = 14
+    text = "a, !c\nb, a\nc, b\n" + "".join(
+        f"v{i}, v{i}\n" for i in range(n - 3))
+    ts = build(parse_bnet(text), UpdateMode.ASYNC)
+    attrs = import_attractors(ts, ["1" + "0" * (n - 1)])
+    phenos = compute_phenotypes(ts, attrs, ["a"])
     res = simulate_phenotype_reachability(ts, phenos, attrs, 3, 0)
     assert (res.frequencies, res.walks, res.capped) == ({1: 0.0}, 3, 3)
     assert len(draws) == 3 * n

@@ -369,11 +369,17 @@ INVOCATIONS = [
     ["basins", "--json", "-", "--svg", "{out}/bars.svg"],
     ["basins", "--update", "sync", "--attractor-file", "{seeds}",
      "--json", "-"],
+    ["basins", "--update", "sync", "--json", "-", "--svg",
+     "{out}/sync_bars.svg"],
     ["commitment", "--json", "-", "--expression-style", "factored",
      "--dot", "{out}/diagram.dot", "--svg", "{out}/pie.svg"],
     ["commitment", "--attractor-file", "{seeds}", "--json", "-"],
+    ["commitment", "--update", "sync", "--json", "-", "--dot",
+     "{out}/sync.dot"],
     ["phenotypes", "--markers", "c,d", "--json", "-", "--expression-style",
      "dnf", "--dot", "{out}/phenotypes.dot", "--svg", "{out}/phenotypes.svg"],
+    ["phenotypes", "--bnet", "{van_ham}", "--update", "sync", "--markers",
+     "a,c", "--json", "-"],
     ["check", "--ctl", "AG(EF(c))", "--json", "-"],
     ["check", "--update", "sync", "--ctl", "EF(a & b)", "--json", "-",
      "--expression-style", "dnf"],

@@ -2,12 +2,11 @@ import random
 
 import pytest
 
-from basinscope.model import (
-    BooleanNetwork, VariableTable, detect_van_ham_pairs, eval_expr,
-    parse_bnet)
+from basinscope.model import eval_expr, parse_bnet
 from basinscope.stg import UpdateMode, build, steady_states
 from oracle import (
-    all_states, bits_of, explicit_stg, random_network, successors)
+    all_states, bits_of, explicit_stg, random_network, successors,
+    with_van_ham_pair)
 
 
 def relation_pairs(ts):
@@ -99,15 +98,6 @@ def test_duality_image_preimage():
             x, y = ts.state_set(xs), ts.state_set(ys)
             assert ((ts.image(x) & y).is_empty()
                     == (x & ts.preimage(y)).is_empty())
-
-
-def with_van_ham_pair(net, medium, high):
-    """net with variables `medium` and `high` renamed to a van Ham pair,
-    so that the state with x_high on and x_medium off is not admissible."""
-    names = list(net.variables.names)
-    names[medium], names[high] = "x_medium", "x_high"
-    return detect_van_ham_pairs(
-        BooleanNetwork(VariableTable(tuple(names)), net.updates))
 
 
 def packed(s):
