@@ -33,13 +33,11 @@ class Attractor:
     unverified: bool = False
 
 
-def _scc(ts: TransitionSystem, pivot: int) -> tuple[int, int, int]:
-    """Forward closure of the pivot states, their SCC and the SCC's escape
-    (successors outside it); the SCC is an attractor iff escape is empty."""
-    m = ts.manager
-    fwd = ts.forward_reach_ref(pivot)
-    scc = m.apply(OP_AND, ts.backward_reach_ref(pivot), fwd)
-    return fwd, scc, m.apply(OP_DIFF, ts.image_ref(scc), scc)
+def _scc(ts: TransitionSystem, pivot: int) -> tuple[int, int]:
+    """Forward and backward reach of the pivot states.  Their SCC is the
+    meet of the two, and it is terminal (an attractor, then equal to the
+    forward reach) iff the forward reach lies inside the backward one."""
+    return ts.forward_reach_ref(pivot), ts.backward_reach_ref(pivot)
 
 
 def _numbered(ts: TransitionSystem, entries) -> list[Attractor]:
@@ -58,24 +56,13 @@ def _numbered(ts: TransitionSystem, entries) -> list[Attractor]:
     return result
 
 
-def _recurrent_ref(ts: TransitionSystem) -> int:
-    """States that lie on a cycle of a deterministic STG: the greatest
-    fixpoint of Z = Z & image(Z), from the space."""
-    m = ts.manager
-    z = ts.space_ref
-    while True:
-        nz = m.apply(OP_AND, z, ts.image_ref(z))
-        if nz == z:
-            return z
-        z = nz
-
-
 def _sync_cycles(ts: TransitionSystem) -> list[tuple[int, bool]]:
     """Attractors of a deterministic STG.  Each state has one successor,
     so every cycle is terminal and is the forward reach of any of its
     states; the smallest recurrent state left names the next one."""
     m = ts.manager
-    recurrent = _recurrent_ref(ts)
+    # the states on a cycle: each has a predecessor among them
+    recurrent = ts.gfp_ref(ts.image_ref, ts.space_ref)
     found = []
     while recurrent != 0:
         cycle = ts.forward_reach_ref(
@@ -88,10 +75,11 @@ def _sync_cycles(ts: TransitionSystem) -> list[tuple[int, bool]]:
 def attractors(ts: TransitionSystem) -> list[Attractor]:
     """All terminal SCCs of the STG restricted to the admissible space.
 
-    Pivot-based symbolic search: compute the SCC of the minimal candidate
-    state; if it has no escaping transition it is an attractor and its whole
-    backward closure is removed from the candidates, otherwise only the SCC
-    is removed and the next pivot is preferred among its forward escape.
+    Pivot-based symbolic search: the SCC of the minimal candidate state is
+    an attractor iff its forward reach lies inside its backward reach.
+    Either way the whole backward reach leaves the candidates, since a
+    state that reaches a non-terminal SCC lies in no attractor, and the
+    next pivot is preferred among the forward reach outside it.
     Synchronous dynamics are deterministic and take `_sync_cycles` instead.
     """
     if ts.mode is UpdateMode.SYNC:
@@ -101,18 +89,14 @@ def attractors(ts: TransitionSystem) -> list[Attractor]:
     preferred = 0
     found: list[tuple[int, bool]] = []
     while candidates != 0:
-        pool = m.apply(OP_AND, preferred, candidates)
-        if pool == 0:
-            pool = candidates
-        fwd, scc, escape = _scc(ts, m.from_states([m.pick_min_state(pool)]))
-        if escape == 0:
-            found.append((scc, False))
-            candidates = m.apply(
-                OP_DIFF, candidates, ts.backward_reach_ref(scc))
-            preferred = 0
-        else:
-            candidates = m.apply(OP_DIFF, candidates, scc)
-            preferred = m.apply(OP_AND, m.apply(OP_DIFF, fwd, scc), candidates)
+        # preferred is a subset of candidates
+        pool = preferred if preferred != 0 else candidates
+        fwd, bwd = _scc(ts, m.from_states([m.pick_min_state(pool)]))
+        beyond = m.apply(OP_DIFF, fwd, bwd)
+        if beyond == 0:
+            found.append((fwd, False))
+        candidates = m.apply(OP_DIFF, candidates, bwd)
+        preferred = m.apply(OP_AND, beyond, candidates)
     return _numbered(ts, found)
 
 
@@ -148,15 +132,17 @@ def import_attractors(ts: TransitionSystem, seeds) -> list[Attractor]:
             pivot = m.from_states([seed])
             if m.apply(OP_AND, pivot, ts.space_ref) == 0:
                 raise AttractorError(f"seed {seed!r} lies outside the space")
-            _, scc, escape = _scc(ts, pivot)
-            if escape != 0:
-                y = m.pick_min_state(escape)
+            fwd, bwd = _scc(ts, pivot)
+            if m.apply(OP_DIFF, fwd, bwd) != 0:
+                scc = m.apply(OP_AND, fwd, bwd)
+                y = m.pick_min_state(
+                    m.apply(OP_DIFF, ts.image_ref(scc), scc))
                 src = m.apply(OP_AND, ts.preimage_ref(m.from_states([y])), scc)
                 x = m.pick_min_state(src)
                 raise AttractorError(
                     f"seed {seed!r}: SCC is not terminal, "
                     f"escaping transition {x} -> {y}")
-            entries.append((scc, False))
+            entries.append((fwd, False))
         elif isinstance(seed, dict):
             ref = _subspace_ref(ts, seed)
             if ref == 0:

@@ -27,8 +27,11 @@ def _write(path: str | None, text: str):
         return
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc}") from exc
 
 
 def _emit_json(args, payload):

@@ -228,13 +228,8 @@ def accept_ref(ts: TransitionSystem, formula: CtlFormula) -> int:
     ex = ts.preimage_ref
     ef = ts.backward_reach_ref
 
-    def gfp_eg(x: int) -> int:
-        z = x
-        while True:
-            nz = m.apply(OP_AND, z, ex(z))
-            if nz == z:
-                return z
-            z = nz
+    def eg(x: int) -> int:
+        return ts.gfp_ref(ex, x)
 
     memo: dict[int, int] = {}
 
@@ -269,11 +264,11 @@ def accept_ref(ts: TransitionSystem, formula: CtlFormula) -> int:
             elif f.op == "EF":
                 res = ef(x)
             elif f.op == "EG":
-                res = gfp_eg(x)
+                res = eg(x)
             elif f.op == "AX":
                 res = compl(ex(compl(x)))
             elif f.op == "AF":
-                res = compl(gfp_eg(compl(x)))
+                res = compl(eg(compl(x)))
             elif f.op == "AG":
                 res = compl(ef(compl(x)))
             else:
@@ -285,7 +280,7 @@ def accept_ref(ts: TransitionSystem, formula: CtlFormula) -> int:
             else:  # AU = !(E[!b U (!a & !b)] | EG !b)
                 na, nb = compl(a), compl(b)
                 res = compl(m.apply(
-                    OP_OR, ef(m.apply(OP_AND, na, nb), within=nb), gfp_eg(nb)))
+                    OP_OR, ef(m.apply(OP_AND, na, nb), within=nb), eg(nb)))
         else:
             raise CtlError(f"cannot evaluate {f!r}")
         memo[key] = res

@@ -25,6 +25,11 @@ class DiagramNode:
     percent: float
 
 
+def key_order(key: tuple[int, ...]) -> tuple:
+    """The canonical order of node keys: by size, then lexicographic."""
+    return (len(key), key)
+
+
 @dataclass
 class Diagram:
     """Quotient graph keyed by attractor-index or phenotype-index subsets."""
@@ -34,7 +39,12 @@ class Diagram:
     partial: bool = False
 
     def sorted_keys(self) -> list[tuple[int, ...]]:
-        return sorted(self.nodes, key=lambda k: (len(k), k))
+        return sorted(self.nodes, key=key_order)
+
+    def sorted_edges(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Edges by source key, then target key, each in key order."""
+        return sorted(self.edges,
+                      key=lambda e: (key_order(e[0]), key_order(e[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +119,7 @@ def _quotient_edges(ts: TransitionSystem,
     of I and a direct transition between the blocks."""
     m = ts.manager
     edges = set()
-    keys = sorted(nodes, key=lambda k: (len(k), k))
+    keys = sorted(nodes, key=key_order)
     key_sets = [frozenset(k) for k in keys]
     lengths = [len(k) for k in keys]
     for j, j_key in enumerate(keys):
@@ -232,10 +242,9 @@ def diagram_to_json(diagram: Diagram, expressions: dict | None = None) -> dict:
         if expressions is not None:
             entry["expression"] = expressions.get(key, "")
         nodes.append(entry)
-    edges = sorted(diagram.edges, key=lambda e: (len(e[0]), e[0], len(e[1]), e[1]))
     return {
         "nodes": nodes,
-        "edges": [[list(i), list(j)] for i, j in edges],
+        "edges": [[list(i), list(j)] for i, j in diagram.sorted_edges()],
         "partial": diagram.partial,
     }
 

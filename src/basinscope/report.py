@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 from .basins import BasinTriple
-from .diagrams import Diagram
+from .diagrams import Diagram, key_order
 from .stg import TransitionSystem
 
 # 12-colour cycle assigned by canonical block order; LIGHT fills the
@@ -55,8 +55,7 @@ def diagram_to_dot(diagram: Diagram) -> str:
                  f"({_fmt(node.percent)}%)")
         lines.append(
             f'  {ids[key]} [label="{label}", fillcolor="{_colour(i)}"];')
-    for i_key, j_key in sorted(diagram.edges,
-                               key=lambda e: (len(e[0]), e[0], len(e[1]), e[1])):
+    for i_key, j_key in diagram.sorted_edges():
         lines.append(f"  {ids[i_key]} -> {ids[j_key]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -79,7 +78,7 @@ def small_stg_to_dot(ts: TransitionSystem, colouring: dict,
     drawn with a double border.  Self-loops are omitted.
     """
     check_small_stg(ts)
-    block_keys = sorted(set(colouring.values()), key=lambda k: (len(k), k))
+    block_keys = sorted(set(colouring.values()), key=key_order)
     colour_of = {key: _colour(i) for i, key in enumerate(block_keys)}
     attractor_states = attractor_states or set()
     states = ts.space().states()

@@ -89,6 +89,17 @@ class TransitionSystem:
             frontier = new
         return reached
 
+    def gfp_ref(self, step, x: int) -> int:
+        """Greatest fixpoint of Z = Z & step(Z), from x, taken one step at
+        a time; with preimage_ref it is CTL EG x."""
+        m = self.manager
+        z = x
+        while True:
+            nz = m.apply(OP_AND, z, step(z))
+            if nz == z:
+                return z
+            z = nz
+
     def forward_reach_ref(self, x: int) -> int:
         return self._reach(self.image_ref, x)
 
@@ -104,24 +115,15 @@ class TransitionSystem:
         return self.set_of(self.backward_reach_ref(x.ref))
 
 
-def steady_states_ref(m: DdManager, net: BooleanNetwork, space: int) -> int:
-    """States with f(x) = x, within the admissible space."""
-    acc = space
-    for i, upd in enumerate(net.updates):
-        fi = m.compile_expr(upd)
-        eq = m.not_(m.apply(OP_XOR, m.var(i), fi))
-        acc = m.apply(OP_AND, acc, eq)
-    return acc
-
-
 def build(net: BooleanNetwork, mode: UpdateMode = UpdateMode.ASYNC,
           node_limit: int | None = None) -> TransitionSystem:
     """Build the symbolic STG for the given update mode.
 
     ASYNC: x -> y iff exactly one variable changes to its update value.
-    SYNC: y = f(x).  Steady states self-loop in both modes, and any state
-    left without an admissible successor by the admissibility restriction
-    self-loops as well, so the relation is total on the space.
+    SYNC: y = f(x).  A state left without a successor self-loops, so the
+    relation is total on the space: an async steady state, which has no
+    variable to flip, and a state stranded by the admissibility
+    restriction.  A sync steady state has y = f(x) = x.
     """
     n = net.n
     m = DdManager(n, node_limit)
@@ -133,20 +135,18 @@ def build(net: BooleanNetwork, mode: UpdateMode = UpdateMode.ASYNC,
             for i in range(n)]
     upd_eq = [m.not_(m.apply(OP_XOR, m.var_primed(i), f_refs[i]))
               for i in range(n)]
-
-    identity = 1
-    for s in same:
-        identity = m.apply(OP_AND, identity, s)
+    # prefix products of the frame conditions same_j
+    prefix = [1] * (n + 1)
+    for i in range(n):
+        prefix[i + 1] = m.apply(OP_AND, prefix[i], same[i])
+    identity = prefix[n]
 
     if mode is UpdateMode.SYNC:
         relation = 1
         for u in upd_eq:
             relation = m.apply(OP_AND, relation, u)
     else:
-        # prefix/suffix products of the frame conditions same_j, j != i
-        prefix = [1] * (n + 1)
-        for i in range(n):
-            prefix[i + 1] = m.apply(OP_AND, prefix[i], same[i])
+        # the frame of flip i is same_j for every j != i
         suffix = [1] * (n + 1)
         for i in reversed(range(n)):
             suffix[i] = m.apply(OP_AND, suffix[i + 1], same[i])
@@ -155,13 +155,11 @@ def build(net: BooleanNetwork, mode: UpdateMode = UpdateMode.ASYNC,
             flip = m.apply(OP_AND, upd_eq[i], m.not_(same[i]))
             frame = m.apply(OP_AND, prefix[i], suffix[i + 1])
             relation = m.apply(OP_OR, relation, m.apply(OP_AND, flip, frame))
-        steady = steady_states_ref(m, net, 1)
-        relation = m.apply(OP_OR, relation, m.apply(OP_AND, steady, identity))
 
     space_primed = space if space == 1 else m.rename_unprimed_to_primed(space)
     relation = m.apply(OP_AND, relation, m.apply(OP_AND, space, space_primed))
 
-    # totalize: states stranded by the admissibility restriction self-loop
+    # totalize: states without a successor self-loop
     has_succ = m.exists_primed(relation)
     deadlocks = m.apply(OP_DIFF, space, has_succ)
     if deadlocks != 0:
@@ -172,4 +170,9 @@ def build(net: BooleanNetwork, mode: UpdateMode = UpdateMode.ASYNC,
 
 def steady_states(ts: TransitionSystem) -> StateSet:
     """Exactly the admissible states with f(x) = x."""
-    return ts.set_of(steady_states_ref(ts.manager, ts.net, ts.space_ref))
+    m = ts.manager
+    acc = ts.space_ref
+    for i, upd in enumerate(ts.net.updates):
+        eq = m.not_(m.apply(OP_XOR, m.var(i), m.compile_expr(upd)))
+        acc = m.apply(OP_AND, acc, eq)
+    return ts.set_of(acc)

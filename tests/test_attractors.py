@@ -7,7 +7,9 @@ from basinscope.attractors import (
     load_attractor_seeds, steady_states)
 from basinscope.ctl import EF, accept_ref, atom_states
 from basinscope.stg import build
-from oracle import explicit_stg, random_network, terminal_sccs
+from oracle import (
+    explicit_stg, random_network, tarjan_sccs, terminal_sccs,
+    with_van_ham_pair)
 
 
 def test_toggle_attractors(toggle_ts):
@@ -45,9 +47,38 @@ def test_import_state_seed(toggle_ts):
     assert not attrs[0].unverified
 
 
-def test_import_non_terminal_seed_rejected(toggle_ts):
-    with pytest.raises(AttractorError, match="escaping transition"):
-        import_attractors(toggle_ts, ["00"])
+def oracle_cases(seed, count):
+    """Random networks, each also with a van Ham pair, whose admissibility
+    restriction can leave states without a successor."""
+    rng = random.Random(seed)
+    pairs = random.Random(seed + 1)
+    for _ in range(count):
+        n = rng.randrange(2, 8)
+        net = random_network(rng, n)
+        yield net
+        yield with_van_ham_pair(net, *pairs.sample(range(n), 2))
+
+
+def test_import_non_terminal_seed_rejected(toggle_net):
+    """A seed in a non-terminal SCC names an edge x -> y of the STG from
+    inside the SCC to outside it: on the toggle switch, and from the
+    smallest state of every non-terminal SCC of random networks."""
+    checked = 0
+    for net in [toggle_net, *oracle_cases(17, 6)]:
+        ts = build(net)
+        adj = explicit_stg(net, "async")
+        terminal = terminal_sccs(adj)
+        for scc in tarjan_sccs(adj):
+            if sorted(scc) in terminal:
+                continue
+            with pytest.raises(AttractorError,
+                               match="escaping transition") as info:
+                import_attractors(ts, [min(scc)])
+            x, y = str(info.value).rsplit(" ", 3)[1::2]
+            assert y in adj[x]
+            assert x in scc and y not in scc
+            checked += 1
+    assert checked > 10
 
 
 def test_import_seeds_in_one_attractor_rejected(repressilator_ts):
@@ -93,10 +124,7 @@ def test_determinism(toggle_ts):
 
 
 def test_matches_tarjan_oracle_on_random_networks():
-    rng = random.Random(31)
-    for _ in range(60):
-        n = rng.randrange(2, 8)
-        net = random_network(rng, n)
+    for net in oracle_cases(31, 60):
         ts = build(net)
         expected = terminal_sccs(explicit_stg(net, "async"))
         attrs = attractors(ts)

@@ -60,6 +60,15 @@ def test_missing_file_is_domain_error(capsys):
     assert run(["attractors", "--bnet", "/nonexistent.bnet"]) == 1
 
 
+@pytest.mark.parametrize("flag", ["--json", "--svg", "--dot"])
+def test_unwritable_output_is_one_line_error(flag, toggle_file, tmp_path,
+                                             capsys):
+    path = tmp_path / "missing" / "out"
+    assert run(["commitment", "--bnet", toggle_file, flag, str(path)]) == 1
+    err = one_line_error(capsys)
+    assert err.startswith(f"error: cannot write {path}: ")
+
+
 def test_basins_outputs(toggle_file, tmp_path, capsys):
     svg = tmp_path / "bars.svg"
     payload = run_json(capsys, ["basins", "--bnet", toggle_file,

@@ -77,13 +77,16 @@ def test_admissibility_restricts_space():
 @pytest.mark.parametrize("mode", ["async", "sync"])
 def test_relation_matches_explicit_construction(mode):
     rng = random.Random(2024)
+    pairs = random.Random(2025)
     for _ in range(25):
         n = rng.randrange(2, 7)
         net = random_network(rng, n)
-        ts = build(net, UpdateMode.ASYNC if mode == "async" else UpdateMode.SYNC)
-        adj = explicit_stg(net, mode)
-        assert relation_pairs(ts) == {
-            (s, t) for s, succ in adj.items() for t in succ}
+        # a van Ham pair can strand states without an admissible successor
+        for net in (net, with_van_ham_pair(net, *pairs.sample(range(n), 2))):
+            ts = build(net, UpdateMode(mode))
+            adj = explicit_stg(net, mode)
+            assert relation_pairs(ts) == {
+                (s, t) for s, succ in adj.items() for t in succ}
 
 
 def test_duality_image_preimage():
