@@ -6,7 +6,7 @@ import enum
 import json
 from dataclasses import dataclass
 
-from .dd import OP_AND, OP_DIFF, StateSet
+from .dd import OP_AND, OP_DIFF, OP_OR, StateSet
 from .model import Not, Var, make_and
 from .stg import (  # noqa: F401 - steady_states is a re-export
     TransitionSystem, UpdateMode, steady_states)
@@ -125,6 +125,7 @@ def import_attractors(ts: TransitionSystem, seeds) -> list[Attractor]:
     m = ts.manager
     entries = []
     accepted = []  # the seed of each entry
+    union = 0  # the states of every entry so far
     for seed in seeds:
         if isinstance(seed, str):
             if len(seed) != ts.n or any(c not in "01" for c in seed):
@@ -152,18 +153,22 @@ def import_attractors(ts: TransitionSystem, seeds) -> list[Attractor]:
         else:
             raise AttractorError(f"unsupported seed {seed!r}")
         ref = entries[-1][0]
-        for (other, _), other_seed in zip(entries, accepted):
-            shared = m.apply(OP_AND, ref, other)
-            if shared == 0:
-                continue
-            if isinstance(seed, str) and isinstance(other_seed, str):
-                # two terminal SCCs that meet are the same attractor
+        # comparing every pair would take O(k^2) applies; scan the earlier
+        # seeds only to name the first one that the new seed meets
+        if m.apply(OP_AND, ref, union) != 0:
+            for (other, _), other_seed in zip(entries, accepted):
+                shared = m.apply(OP_AND, ref, other)
+                if shared == 0:
+                    continue
+                if isinstance(seed, str) and isinstance(other_seed, str):
+                    # two terminal SCCs that meet are the same attractor
+                    raise AttractorError(
+                        f"seeds {other_seed!r} and {seed!r} lie in the same "
+                        "attractor")
                 raise AttractorError(
-                    f"seeds {other_seed!r} and {seed!r} lie in the same "
-                    "attractor")
-            raise AttractorError(
-                f"seeds {other_seed!r} and {seed!r} overlap in state "
-                f"{m.pick_min_state(shared)}")
+                    f"seeds {other_seed!r} and {seed!r} overlap in state "
+                    f"{m.pick_min_state(shared)}")
+        union = m.apply(OP_OR, union, ref)
         accepted.append(seed)
     return _numbered(ts, entries)
 

@@ -8,9 +8,9 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .attractors import Attractor
-from .basins import strong_basin, weak_basin
+from .basins import weak_basin
 from .dd import OP_AND, OP_DIFF, StateSet
-from .stg import TransitionSystem, UpdateMode
+from .stg import TransitionSystem
 
 
 class DiagramError(RuntimeError):
@@ -51,10 +51,10 @@ class Diagram:
 # quotient construction, shared by commitment and phenotype diagrams
 
 
-def _refine_by_weak_basins(ts: TransitionSystem, weak: dict[int, StateSet]):
-    """Split the space into blocks of equal weak-basin membership signature."""
-    blocks: list[tuple[int, tuple[int, ...]]] = [(ts.space_ref, ())]
-    m = ts.manager
+def _refine_by_weak_basins(m, covered: int, weak: dict[int, StateSet]):
+    """Split covered, the union of the weak basins, into blocks of equal
+    weak-basin membership signature."""
+    blocks: list[tuple[int, tuple[int, ...]]] = [(covered, ())]
     for i in sorted(weak):
         w = weak[i].ref
         new = []
@@ -74,38 +74,38 @@ def _quotient_nodes(ts: TransitionSystem, units: dict[int, StateSet],
     """Nodes of the quotient graph for units (attractors or phenotypes),
     each given by its set of representative states.
 
-    The node of a realized index subset I is its weak-basin partition
-    block: the states that reach exactly the units in I.  With a complete
-    unit list that block is the commitment set of I.  With a partial list
-    the node keeps only the block's states in the strong basin of the
-    united representatives of I, which leaves out the states that may
-    reach an attractor missing from the list.
+    The block of an index subset I holds the states that reach exactly
+    the units in I; the blocks partition the union W of the weak basins.
+    Weak basins whose sizes add up to that of W are pairwise disjoint (as
+    in every synchronous STG), and each is its own block.  With a complete
+    list W is the space and a block is a commitment set.
 
-    In a synchronous STG every state reaches exactly one attractor, so the
-    weak basins of a complete list are pairwise disjoint and cover the
-    space: each is its own block, with no refinement.
+    With a partial list the node of I keeps the states of its block in
+    AG EF(reps of I), dropping those that may reach a missing unit.  As the
+    set of units a state can reach only shrinks along a path, that is the
+    block minus the escape set E = EF(space \\ W) of states that can reach a
+    state reaching no unit.  With a complete list E is empty and free.
     """
     m = ts.manager
     total = ts.space_size()
-    weak = {i: weak_basin(ts, reps) for i, reps in units.items()}
-    if ts.mode is UpdateMode.SYNC and not partial:
-        blocks = [(weak[i].ref, (i,)) for i in sorted(weak)]
+    weak, covered = {}, 0
+    for i in sorted(units):
+        weak[i] = weak_basin(ts, units[i])
+        covered = m.or_(covered, weak[i].ref)
+    if sum(w.count() for w in weak.values()) == m.count_states(covered):
+        blocks = [(w.ref, (i,)) for i, w in weak.items()]
     else:
-        blocks = _refine_by_weak_basins(ts, weak)
+        blocks = _refine_by_weak_basins(m, covered, weak)
+    outside = m.apply(OP_DIFF, ts.space_ref, covered)
+    if outside != 0 and not partial:
+        raise DiagramError(
+            "states outside every weak basin despite a complete unit list")
+    escape = ts.backward_reach_ref(outside)
     nodes: dict[tuple[int, ...], DiagramNode] = {}
     for ref, key in blocks:
-        if not key:
-            if partial:
-                continue
-            raise DiagramError(
-                "states outside every weak basin despite a complete unit list")
-        if partial:
-            reps_union = 0
-            for i in key:
-                reps_union = m.or_(reps_union, units[i].ref)
-            ref = m.and_(ref, strong_basin(ts, ts.set_of(reps_union)).ref)
-            if ref == 0:
-                continue
+        ref = m.apply(OP_DIFF, ref, escape) if escape else ref
+        if ref == 0:
+            continue
         states = ts.set_of(ref)
         size = states.count()
         nodes[key] = DiagramNode(key, states, size,

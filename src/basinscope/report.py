@@ -202,9 +202,7 @@ def _arc_path(cx: float, cy: float, r: float, a0: float, a1: float) -> str:
 
 def basin_piechart_svg(partition: list[tuple[str, int]], total: int) -> str:
     """Pie chart of disjoint blocks (label, size); a light slice covers any
-    states outside the blocks."""
-    if not partition:
-        raise ValueError("empty partition")
+    states outside the blocks, the whole pie when there are none."""
     sizes = [s for _, s in partition]
     slices = pie_slices(sizes, total)
     labelled = list(partition)

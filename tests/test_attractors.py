@@ -6,6 +6,7 @@ from basinscope.attractors import (
     AttractorError, AttractorKind, attractors, import_attractors,
     load_attractor_seeds, steady_states)
 from basinscope.ctl import EF, accept_ref, atom_states
+from basinscope.model import parse_bnet
 from basinscope.stg import build
 from oracle import (
     explicit_stg, random_network, tarjan_sccs, terminal_sccs,
@@ -93,6 +94,8 @@ def test_import_seeds_in_one_attractor_rejected(repressilator_ts):
 @pytest.mark.parametrize("seeds, message", [
     ([{"a": 1}, "10"], "seeds {'a': 1} and '10' overlap in state 10"),
     ([{"a": 1}, {"b": 0}], "seeds {'a': 1} and {'b': 0} overlap in state 10"),
+    ([{"a": 1, "b": 1}, {"a": 0}, {"b": 1}],
+     "seeds {'a': 1, 'b': 1} and {'b': 1} overlap in state 11"),
 ])
 def test_import_overlapping_seeds_rejected(toggle_ts, seeds, message):
     """Overlapping seeds would otherwise come back as two attractors that
@@ -100,6 +103,20 @@ def test_import_overlapping_seeds_rejected(toggle_ts, seeds, message):
     with pytest.raises(AttractorError) as info:
         import_attractors(toggle_ts, seeds)
     assert str(info.value) == message
+
+
+def test_import_checks_overlap_in_linear_apply_calls(monkeypatch):
+    """Disjoint seeds cost a bounded number of apply calls each; comparing
+    every pair of 256 seeds would take over 32k."""
+    net = parse_bnet("".join(f"v{i}, v{i}\n" for i in range(8)))
+    ts = build(net)
+    seeds = [format(x, "08b") for x in range(256)]
+    apply = ts.manager.apply
+    calls = []
+    monkeypatch.setattr(ts.manager, "apply",
+                        lambda *args: calls.append(1) or apply(*args))
+    assert len(import_attractors(ts, seeds)) == 256
+    assert len(calls) < 16 * len(seeds)
 
 
 def test_import_subspace_pattern(toggle_ts):

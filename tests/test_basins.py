@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from basinscope.attractors import attractors
+from basinscope.attractors import attractors, import_attractors
 from basinscope.basins import (
     basin_triples, basins_to_json, cycle_free_basin, strong_basin, weak_basin)
 from basinscope.stg import build
 from oracle import (
     cycle_free_basin as oracle_cycle_free, explicit_stg, random_network,
-    strong_basin as oracle_strong, terminal_sccs, weak_basin as oracle_weak)
+    strong_basin as oracle_strong, terminal_sccs, weak_basin as oracle_weak,
+    with_van_ham_pair)
 
 
 def test_weak_basin_toggle(toggle_ts):
@@ -98,6 +99,37 @@ def test_inclusion_chain_and_oracle_equivalence():
             assert set(strong.states()) == oracle_strong(
                 adj, oracle_attractors, {a.index})
             assert set(cyc.states()) == oracle_cycle_free(adj, oa)
+
+
+def test_async_basin_triples_match_oracle():
+    """What `basins` reports in async mode, on detected attractors and on
+    every other attractor imported from its largest state, on random
+    networks with and without a van Ham pair."""
+    rng = random.Random(41)
+    cyclic = 0
+    for k in range(60):
+        n = rng.randrange(3, 9)
+        net = random_network(rng, n)
+        if k % 2:
+            net = with_van_ham_pair(net, *rng.sample(range(n), 2))
+        ts = build(net)
+        adj = explicit_stg(net, "async")
+        oracle_attractors = terminal_sccs(adj)
+        listed = oracle_attractors[::2]
+        for attrs in (attractors(ts),
+                      import_attractors(ts, [a[-1] for a in listed])):
+            for t in basin_triples(ts, attrs):
+                target = sorted(t.attractor.states.states())
+                index = oracle_attractors.index(target) + 1
+                expected = (oracle_weak(adj, target),
+                            oracle_strong(adj, oracle_attractors, {index}),
+                            oracle_cycle_free(adj, target))
+                got = (t.weak, t.strong, t.cycle_free)
+                assert [set(s.states()) for s in got] == list(expected)
+                assert [t.weak_info.size, t.strong_info.size,
+                        t.cycle_free_info.size] == [len(s) for s in expected]
+                cyclic += len(target) > 1
+    assert cyclic > 10
 
 
 def test_union_laws():

@@ -162,6 +162,21 @@ def test_partial_pattern_seed_nodes_fit_the_pie_chart(tmp_path, capsys):
     assert pie.read_text().startswith("<svg")
 
 
+@pytest.mark.parametrize("command", ["commitment", "phenotypes"])
+def test_empty_diagram_pie_chart_is_one_light_slice(command, toggle_file,
+                                                    tmp_path, capsys):
+    """A diagram without nodes draws the whole space as uncommitted."""
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text("[]")
+    pie = tmp_path / "pie.svg"
+    argv = [command, "--bnet", toggle_file, "--attractor-file", str(seeds),
+            "--json", "-", "--svg", str(pie)]
+    if command == "phenotypes":
+        argv += ["--markers", "a"]
+    run_json(capsys, argv)
+    assert "uncommitted: 4</text>" in pie.read_text()
+
+
 def test_duplicate_attractor_seeds_are_one_line_error(toggle_file, tmp_path,
                                                       capsys):
     seeds = tmp_path / "seeds.json"
