@@ -51,24 +51,6 @@ class Diagram:
 # quotient construction, shared by commitment and phenotype diagrams
 
 
-def _refine_by_weak_basins(m, covered: int, weak: dict[int, StateSet]):
-    """Split covered, the union of the weak basins, into blocks of equal
-    weak-basin membership signature."""
-    blocks: list[tuple[int, tuple[int, ...]]] = [(covered, ())]
-    for i in sorted(weak):
-        w = weak[i].ref
-        new = []
-        for ref, key in blocks:
-            inside = m.apply(OP_AND, ref, w)
-            outside = m.apply(OP_DIFF, ref, w)
-            if inside != 0:
-                new.append((inside, key + (i,)))
-            if outside != 0:
-                new.append((outside, key))
-        blocks = new
-    return blocks
-
-
 def _quotient_nodes(ts: TransitionSystem, units: dict[int, StateSet],
                     partial: bool) -> dict[tuple[int, ...], DiagramNode]:
     """Nodes of the quotient graph for units (attractors or phenotypes),
@@ -76,9 +58,10 @@ def _quotient_nodes(ts: TransitionSystem, units: dict[int, StateSet],
 
     The block of an index subset I holds the states that reach exactly
     the units in I; the blocks partition the union W of the weak basins.
-    Weak basins whose sizes add up to that of W are pairwise disjoint (as
-    in every synchronous STG), and each is its own block.  With a complete
-    list W is the space and a block is a commitment set.
+    Each weak basin in turn splits the blocks it meets and adds its states
+    outside the running union as a new block, so a basin that meets no
+    earlier one (as in every synchronous STG) is one block in one step.
+    With a complete list W is the space and a block is a commitment set.
 
     With a partial list the node of I keeps the states of its block in
     AG EF(reps of I), dropping those that may reach a missing unit.  As the
@@ -88,14 +71,24 @@ def _quotient_nodes(ts: TransitionSystem, units: dict[int, StateSet],
     """
     m = ts.manager
     total = ts.space_size()
-    weak, covered = {}, 0
+    blocks: list[tuple[int, tuple[int, ...]]] = []
+    covered = 0
     for i in sorted(units):
-        weak[i] = weak_basin(ts, units[i])
-        covered = m.or_(covered, weak[i].ref)
-    if sum(w.count() for w in weak.values()) == m.count_states(covered):
-        blocks = [(w.ref, (i,)) for i, w in weak.items()]
-    else:
-        blocks = _refine_by_weak_basins(m, covered, weak)
+        w = weak_basin(ts, units[i]).ref
+        if m.apply(OP_AND, w, covered) != 0:
+            split = []
+            for ref, key in blocks:
+                inside = m.apply(OP_AND, ref, w)
+                rest = m.apply(OP_DIFF, ref, w)
+                if inside != 0:
+                    split.append((inside, key + (i,)))
+                if rest != 0:
+                    split.append((rest, key))
+            blocks = split
+            w = m.apply(OP_DIFF, w, covered)
+        if w != 0:
+            blocks.append((w, (i,)))
+        covered = m.or_(covered, w)
     outside = m.apply(OP_DIFF, ts.space_ref, covered)
     if outside != 0 and not partial:
         raise DiagramError(

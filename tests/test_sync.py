@@ -2,10 +2,10 @@
 
 A synchronous STG is deterministic, so attractor detection and basin
 triples take shortcuts in sync mode, and the weak basins of attractors are
-pairwise disjoint, so each is its own diagram block.  These tests hold each
-shortcut, the disjoint-block path of complete and partial diagrams, and the
-generic path that pattern seeds keep, to the explicit graph, on random
-networks with and without a van Ham pair.
+pairwise disjoint, so each is its own diagram block, split by no other.
+These tests hold each shortcut, the complete and partial diagrams, and
+the three basin queries that pattern seeds keep, to the explicit graph, on
+random networks with and without a van Ham pair.
 """
 
 import random
@@ -86,8 +86,8 @@ def test_commitment_and_phenotype_diagrams_match_oracle():
 
 def test_imported_state_seeds_match_oracle():
     """Every other attractor, each imported from its largest state: the
-    triples take the shortcut, the partial diagram the disjoint-block
-    path."""
+    triples take the shortcut, and each weak basin of the partial diagram
+    is its own block."""
     for _, _, ts, adj in sync_cases(33, 40):
         oracle_attrs = terminal_sccs(adj)
         listed = oracle_attrs[::2]
