@@ -808,6 +808,17 @@ fail:
     return NULL;
 }
 
+/* the terminal that the packed state x reaches in the unprimed diagram f */
+static int32_t descend(const Kernel *k, int32_t f, const uint64_t *x)
+{
+    while (f >= 2) {
+        Node nd = k->nodes[f];
+        int32_t v = nd.level >> 1;
+        f = (x[v >> 6] >> (v & 63)) & 1 ? nd.high : nd.low;
+    }
+    return f;
+}
+
 static PyObject *Kernel_contains(Kernel *self, PyObject *const *args,
                                  Py_ssize_t nargs)
 {
@@ -822,39 +833,67 @@ static PyObject *Kernel_contains(Kernel *self, PyObject *const *args,
         free(x);
         return NULL;
     }
-    while (f >= 2) {
-        Node nd = self->nodes[f];
-        int32_t v = nd.level >> 1;
-        f = (x[v >> 6] >> (v & 63)) & 1 ? nd.high : nd.low;
-    }
+    f = descend(self, f, x);
     free(x);
     return PyBool_FromLong(f);
 }
 
-/* depth-first over the variables, y_i = 0 first, like Kernel_states: an
- * entry is the node of r for the slots from 2i on, reached with variable
- * i - 1 of y set to c.  The unprimed slot of variable i follows x; the
- * primed slot branches, also where r skips it. */
-static PyObject *Kernel_successors(Kernel *self, PyObject *const *args,
-                                   Py_ssize_t nargs)
+/* The successors of one state: their packed words, `words` per state, and
+ * the scratch of the walk that lists them, the state y being built and a
+ * stack of at most one pending entry per variable plus two fresh ones. */
+typedef struct {
+    uint64_t *w;
+    size_t words, len, cap;
+    uint64_t *y;
+    Visit *stack;
+} Succ;
+
+static int succ_init(const Kernel *k, Succ *s)
 {
-    int32_t r;
-    if (Kernel_ready(self) < 0 || check_nargs("successors", nargs, 2) < 0
-        || arg_node(self, args[0], &r) < 0)
-        return NULL;
-    int n = self->n;
-    size_t words = state_words(self);
-    PyObject *out = NULL;
-    uint64_t *x = malloc(2 * (words + 1) * sizeof(uint64_t));
-    Visit *stack = malloc(((size_t)n + 2) * sizeof(Visit));
-    if (x == NULL || stack == NULL) {
-        PyErr_NoMemory();
-        goto fail;
+    *s = (Succ){NULL, state_words(k), 0, 0, NULL, NULL};
+    s->y = calloc(s->words + 1, sizeof(uint64_t));
+    s->stack = malloc(((size_t)k->n + 2) * sizeof(Visit));
+    if (s->y != NULL && s->stack != NULL)
+        return 0;
+    PyErr_NoMemory();
+    return -1;
+}
+
+static void succ_free(Succ *s)
+{
+    free(s->w);
+    free(s->y);
+    free(s->stack);
+}
+
+static int succ_push(Succ *s)
+{
+    if (s->len == s->cap) {
+        size_t cap = s->cap ? 2 * s->cap : 16;
+        uint64_t *w = realloc(s->w, cap * (s->words + 1) * sizeof(uint64_t));
+        if (w == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        s->w = w;
+        s->cap = cap;
     }
-    uint64_t *y = x + words + 1;
-    memset(y, 0, (words + 1) * sizeof(uint64_t));
-    if (arg_state(self, args[1], x) < 0 || (out = PyList_New(0)) == NULL)
-        goto fail;
+    memcpy(s->w + s->len++ * s->words, s->y, s->words * sizeof(uint64_t));
+    return 0;
+}
+
+/* The packed states y with (x, y') in r, into s, in lexicographic order of
+ * their bit strings: depth-first over the variables, y_i = 0 first, like
+ * Kernel_states.  An entry is the node of r for the slots from 2i on,
+ * reached with variable i - 1 of y set to c.  The unprimed slot of
+ * variable i follows x; the primed slot branches, also where r skips it. */
+static int successors_of(const Kernel *k, int32_t r, const uint64_t *x,
+                         Succ *s)
+{
+    int n = k->n;
+    uint64_t *y = s->y;
+    Visit *stack = s->stack;
+    s->len = 0;
     size_t top = 0;
     if (r != 0)
         stack[top++] = (Visit){r, 0, 0};
@@ -866,38 +905,323 @@ static PyObject *Kernel_successors(Kernel *self, PyObject *const *args,
             y[b >> 6] = v.c ? y[b >> 6] | bit : y[b >> 6] & ~bit;
         }
         if (v.i == n) {
-            PyObject *state = pack_state(y, words);
-            int err = state == NULL || PyList_Append(out, state) < 0;
-            Py_XDECREF(state);
-            if (err)
-                goto fail;
+            if (succ_push(s) < 0)
+                return -1;
             continue;
         }
         int32_t g = v.g;
-        if (self->nodes[g].level == 2 * v.i) {
-            Node nd = self->nodes[g];
+        if (k->nodes[g].level == 2 * v.i) {
+            Node nd = k->nodes[g];
             g = (x[v.i >> 6] >> (v.i & 63)) & 1 ? nd.high : nd.low;
             if (g == 0)
                 continue;
         }
         int32_t lo = g, hi = g;
-        if (self->nodes[g].level == 2 * v.i + 1) {
-            lo = self->nodes[g].low;
-            hi = self->nodes[g].high;
+        if (k->nodes[g].level == 2 * v.i + 1) {
+            lo = k->nodes[g].low;
+            hi = k->nodes[g].high;
         }
         if (hi != 0)
             stack[top++] = (Visit){hi, v.i + 1, 1};
         if (lo != 0)
             stack[top++] = (Visit){lo, v.i + 1, 0};
     }
+    return 0;
+}
+
+static PyObject *Kernel_successors(Kernel *self, PyObject *const *args,
+                                   Py_ssize_t nargs)
+{
+    int32_t r;
+    if (Kernel_ready(self) < 0 || check_nargs("successors", nargs, 2) < 0
+        || arg_node(self, args[0], &r) < 0)
+        return NULL;
+    size_t words = state_words(self);
+    PyObject *out = NULL;
+    Succ succ;
+    uint64_t *x = malloc((words + 1) * sizeof(uint64_t));
+    if (x == NULL) {
+        PyErr_NoMemory();
+        return NULL;
+    }
+    if (succ_init(self, &succ) < 0 || arg_state(self, args[1], x) < 0
+        || successors_of(self, r, x, &succ) < 0
+        || (out = PyList_New((Py_ssize_t)succ.len)) == NULL)
+        goto done;
+    for (size_t i = 0; i < succ.len; i++) {
+        PyObject *state = pack_state(succ.w + i * words, words);
+        if (state == NULL) {
+            Py_CLEAR(out);
+            break;
+        }
+        PyList_SET_ITEM(out, (Py_ssize_t)i, state);
+    }
+done:
     free(x);
-    free(stack);
+    succ_free(&succ);
     return out;
-fail:
+}
+
+/* -- random walks --------------------------------------------------------- *
+ * The draws are the 32-bit outputs of MT19937 (Matsumoto & Nishimura, ACM
+ * TOMACS 1998), seeded with init_by_array from the little-endian 32-bit
+ * words of a key, as random.Random(int.from_bytes(key, "little")) seeds
+ * itself, so that the walks of both kernels draw the same numbers. */
+
+#define MT_N 624
+#define MT_M 397
+
+typedef struct {
+    uint32_t mt[MT_N];
+    int index; /* the next output; from it on the words await their twist */
+    uint32_t base[MT_N]; /* init_genrand(19650218), init_by_array's start */
+    uint32_t *key;
+    size_t key_cap;
+} Mt;
+
+static void mt_init(Mt *g)
+{
+    g->base[0] = 19650218u;
+    for (int i = 1; i < MT_N; i++)
+        g->base[i] = 1812433253u * (g->base[i - 1] ^ (g->base[i - 1] >> 30))
+                     + (uint32_t)i;
+}
+
+/* init_by_array from the 32-bit words of the little-endian key b[0 .. len)
+ * up to the highest nonzero one, or from one zero word for 0 */
+static int mt_seed(Mt *g, const unsigned char *b, size_t len)
+{
+    while (len > 0 && b[len - 1] == 0)
+        len--;
+    size_t words = len > 0 ? (len + 3) / 4 : 1;
+    if (words > g->key_cap) {
+        uint32_t *key = realloc(g->key, words * sizeof(uint32_t));
+        if (key == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        g->key = key;
+        g->key_cap = words;
+    }
+    for (size_t j = 0; j < words; j++) {
+        uint32_t w = 0;
+        for (size_t i = 4 * j + 4; i > 4 * j; i--)
+            w = w << 8 | (i - 1 < len ? b[i - 1] : 0u);
+        g->key[j] = w;
+    }
+    uint32_t *mt = g->mt;
+    memcpy(mt, g->base, sizeof g->mt);
+    size_t i = 1, j = 0;
+    for (size_t k = MT_N > words ? MT_N : words; k > 0; k--) {
+        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1664525u))
+                + g->key[j] + (uint32_t)j;
+        i++;
+        j++;
+        if (i >= MT_N) {
+            mt[0] = mt[MT_N - 1];
+            i = 1;
+        }
+        if (j >= words)
+            j = 0;
+    }
+    for (size_t k = MT_N - 1; k > 0; k--) {
+        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1566083941u))
+                - (uint32_t)i;
+        i++;
+        if (i >= MT_N) {
+            mt[0] = mt[MT_N - 1];
+            i = 1;
+        }
+    }
+    mt[0] = 0x80000000u;
+    g->index = 0;
+    return 0;
+}
+
+/* The twist of word k reads word k + 1, not yet twisted, and word k + M
+ * mod N, twisted iff it lies below k; so twisting each word just before
+ * its output gives the words of twisting all N at once, and a walk that
+ * draws a few outputs twists a few words. */
+static uint32_t mt_next(Mt *g)
+{
+    uint32_t *mt = g->mt;
+    int k = g->index;
+    uint32_t y = (mt[k] & 0x80000000u)
+                 | (mt[k + 1 < MT_N ? k + 1 : 0] & 0x7fffffffu);
+    mt[k] = mt[k < MT_N - MT_M ? k + MT_M : k + MT_M - MT_N] ^ (y >> 1)
+            ^ (y & 1u ? 0x9908b0dfu : 0u);
+    g->index = k + 1 < MT_N ? k + 1 : 0;
+    y = mt[k];
+    y ^= y >> 11;
+    y ^= (y << 7) & 0x9d2c5680u;
+    y ^= (y << 15) & 0xefc60000u;
+    y ^= y >> 18;
+    return y;
+}
+
+/* randrange(m) for 0 < m < 2^32 as CPython draws it: the first output
+ * whose top m.bit_length() bits are below m, shifted down to those bits */
+static uint32_t mt_below(Mt *g, uint32_t m)
+{
+    int bits = 0;
+    while (bits < 32 && m >> bits != 0)
+        bits++;
+    for (;;) {
+        uint32_t v = mt_next(g) >> (32 - bits);
+        if (v < m)
+            return v;
+    }
+}
+
+/* whether the flip a, a multiword integer, is below the flip b */
+static int flip_below(const uint64_t *a, const uint64_t *b, size_t words)
+{
+    for (size_t i = words; i > 0; i--)
+        if (a[i - 1] != b[i - 1])
+            return a[i - 1] < b[i - 1];
+    return 0;
+}
+
+/* The successors of x in r other than x, as flips d = x ^ y in ascending
+ * order, in place of the successors in out.  Insertion sort: an async
+ * state has at most n successors and a sync state one. */
+static void order_flips(const uint64_t *x, Succ *out)
+{
+    size_t words = out->words, m = 0;
+    for (size_t i = 0; i < out->len; i++) {
+        uint64_t *d = out->w + m * words, any = 0;
+        const uint64_t *y = out->w + i * words;
+        for (size_t t = 0; t < words; t++)
+            any |= d[t] = x[t] ^ y[t];
+        if (any == 0)
+            continue;
+        uint64_t *at = d;
+        while (at > out->w && flip_below(at, at - words, words)) {
+            for (size_t t = 0; t < words; t++) {
+                uint64_t tmp = at[t];
+                at[t] = at[t - words];
+                at[t - words] = tmp;
+            }
+            at -= words;
+        }
+        m++;
+    }
+    out->len = m;
+}
+
+/* ends[x] += 1 */
+static int count_end(PyObject *ends, const uint64_t *x, size_t words)
+{
+    PyObject *state = pack_state(x, words);
+    if (state == NULL)
+        return -1;
+    PyObject *old = PyDict_GetItemWithError(ends, state);
+    long long c = old == NULL ? 0 : PyLong_AsLongLong(old);
+    PyObject *cnt = PyErr_Occurred() ? NULL : PyLong_FromLongLong(c + 1);
+    int err = cnt == NULL || PyDict_SetItem(ends, state, cnt) < 0;
+    Py_DECREF(state);
+    Py_XDECREF(cnt);
+    return err ? -1 : 0;
+}
+
+static PyObject *Kernel_walks(Kernel *self, PyObject *const *args,
+                              Py_ssize_t nargs)
+{
+    int32_t r, space, reach, stop;
+    if (Kernel_ready(self) < 0 || check_nargs("walks", nargs, 6) < 0
+        || arg_node(self, args[0], &r) < 0
+        || arg_node(self, args[1], &space) < 0
+        || check_unprimed(self, space) < 0
+        || arg_node(self, args[2], &reach) < 0
+        || check_unprimed(self, reach) < 0
+        || arg_node(self, args[3], &stop) < 0
+        || check_unprimed(self, stop) < 0)
+        return NULL;
+    if (space == 0) {
+        PyErr_SetString(PyExc_ValueError, "no admissible state to start from");
+        return NULL;
+    }
+    long long cap = PyLong_AsLongLong(args[5]);
+    if (cap == -1 && PyErr_Occurred())
+        return NULL;
+    PyObject *keys = PyObject_GetIter(args[4]);
+    if (keys == NULL)
+        return NULL;
+    int n = self->n;
+    size_t words = state_words(self);
+    unsigned long long capped = 0, steps = 0;
+    PyObject *ends = PyDict_New(), *key = NULL, *result = NULL;
+    Succ succ;
+    uint64_t *x = calloc(words + 1, sizeof(uint64_t));
+    Mt *g = calloc(1, sizeof(Mt));
+    if (succ_init(self, &succ) < 0)
+        goto done;
+    if (ends == NULL || x == NULL || g == NULL) {
+        if (ends != NULL)
+            PyErr_NoMemory();
+        goto done;
+    }
+    mt_init(g);
+    while ((key = PyIter_Next(keys)) != NULL) {
+        if (!PyBytes_Check(key)) {
+            PyErr_Format(PyExc_TypeError, "walk key must be bytes, not %.100s",
+                         Py_TYPE(key)->tp_name);
+            goto done;
+        }
+        if (mt_seed(g, (const unsigned char *)PyBytes_AS_STRING(key),
+                    (size_t)PyBytes_GET_SIZE(key)) < 0)
+            goto done;
+        Py_CLEAR(key);
+        /* a uniform admissible start state, by rejection */
+        do {
+            memset(x, 0, words * sizeof(uint64_t));
+            for (int i = 0; i < n; i++)
+                x[i >> 6] |= (uint64_t)mt_below(g, 2) << (i & 63);
+        } while (descend(self, space, x) == 0);
+        long long walked = 0;
+        for (;;) {
+            if (descend(self, stop, x)) {
+                if (count_end(ends, x, words) < 0)
+                    goto done;
+                break;
+            }
+            succ.len = 0;
+            if (walked < cap && descend(self, reach, x)) {
+                if (successors_of(self, r, x, &succ) < 0)
+                    goto done;
+                order_flips(x, &succ);
+            }
+            if (succ.len == 0) {
+                capped++;
+                break;
+            }
+            if (succ.len > UINT32_MAX) {
+                PyErr_SetString(PyExc_OverflowError,
+                                "more than 2^32 - 1 successors");
+                goto done;
+            }
+            const uint64_t *d =
+                succ.w + (size_t)mt_below(g, (uint32_t)succ.len) * words;
+            for (size_t t = 0; t < words; t++)
+                x[t] ^= d[t];
+            walked++;
+        }
+        steps += (unsigned long long)walked;
+        if (PyErr_CheckSignals() < 0)
+            goto done;
+    }
+    if (!PyErr_Occurred())
+        result = Py_BuildValue("(OKK)", ends, capped, steps);
+done:
+    Py_XDECREF(key);
+    Py_DECREF(keys);
+    Py_XDECREF(ends);
     free(x);
-    free(stack);
-    Py_XDECREF(out);
-    return NULL;
+    if (g != NULL)
+        free(g->key);
+    free(g);
+    succ_free(&succ);
+    return result;
 }
 
 static PyMethodDef Kernel_methods[] = {
@@ -933,6 +1257,10 @@ static PyMethodDef Kernel_methods[] = {
      METH_FASTCALL,
      "successors(r, x): the packed states y with (x, y') in r, in "
      "lexicographic order of their bit strings."},
+    {"walks", (PyCFunction)(void (*)(void))Kernel_walks, METH_FASTCALL,
+     "walks(r, space, reach, stop, keys, cap): one random walk over r per "
+     "key (bytes), as _kernel_py.Kernel.walks; returns (ends, capped, "
+     "steps)."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -9,12 +9,18 @@ can reject a diagram with primed slots without walking it.
 
 from __future__ import annotations
 
+import random
+
 BACKEND = "py"
 
 OP_AND = 0
 OP_OR = 1
 OP_XOR = 2
 OP_DIFF = 3
+
+# Most states a call of Kernel.walks keeps in its step table; a state past
+# the limit is computed again on every visit.
+STEP_TABLE_LIMIT = 1 << 16
 
 
 class NodeLimitError(MemoryError):
@@ -320,3 +326,72 @@ class Kernel:
             if lo != 0:
                 stack.append((lo, i + 1, y))
         return out
+
+    # -- random walks over packed states ------------------------------------
+
+    def walks(self, r: int, space: int, reach: int, stop: int, keys,
+              cap: int) -> tuple[dict[int, int], int, int]:
+        """One random walk over the relation r per key, a bytes object.
+
+        The walk draws from random.Random(int.from_bytes(key, "little")).
+        It starts from a uniformly random state of space, drawn by
+        rejection one bit per variable, and steps to a uniformly random
+        successor other than the state itself, among them in ascending
+        order of x ^ y.  It ends when it enters stop, or as capped when it
+        is outside reach, has no successor left or has taken cap steps.
+        Returns the number of walks ending at each state of stop, the
+        number of capped walks and the number of steps taken in all."""
+        if space == 0:
+            raise ValueError("no admissible state to start from")
+        n = self.n
+        contains = self.contains
+        table: dict[int, tuple | None] = {}
+
+        def step(x: int) -> tuple | None:
+            """None for a state of stop, else the successors x ^ d of x
+            other than x, by ascending flip d; none outside reach."""
+            entry = None
+            if not contains(stop, x):
+                entry = ()
+                if contains(reach, x):
+                    entry = tuple(sorted(
+                        (y for y in self.successors(r, x) if y != x),
+                        key=lambda y: x ^ y))
+            if len(table) < STEP_TABLE_LIMIT:
+                table[x] = entry
+            return entry
+
+        ends: dict[int, int] = {}
+        capped = steps = 0
+        for key in keys:
+            bits = random.Random(int.from_bytes(key, "little")).getrandbits
+            while True:
+                x = 0
+                for i in range(n):
+                    x |= _below(bits, 2) << i
+                if contains(space, x):
+                    break
+            walked = 0
+            while True:
+                succs = table[x] if x in table else step(x)
+                if succs is None:
+                    ends[x] = ends.get(x, 0) + 1
+                    break
+                if walked >= cap or not succs:
+                    capped += 1
+                    break
+                x = succs[_below(bits, len(succs))]
+                walked += 1
+            steps += walked
+        return ends, capped, steps
+
+
+def _below(bits, m: int) -> int:
+    """randrange(m), 0 < m < 2**32, as CPython draws it from the 32-bit
+    outputs of bits: the first output whose top m.bit_length() bits are
+    below m, shifted down to those bits."""
+    shift = 32 - m.bit_length()
+    while True:
+        v = bits(32) >> shift
+        if v < m:
+            return v

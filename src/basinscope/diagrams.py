@@ -3,7 +3,6 @@ phenotype reachability estimation."""
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -245,10 +244,6 @@ def diagram_to_json(diagram: Diagram, expressions: dict | None = None) -> dict:
 # ---------------------------------------------------------------------------
 # trajectory-based phenotype reachability
 
-# Most states a simulation keeps in its step table; a state past the limit
-# is computed again on every visit.
-STEP_TABLE_LIMIT = 1 << 16
-
 
 @dataclass
 class SimulationResult:
@@ -259,6 +254,18 @@ class SimulationResult:
     walks: int
     capped: int = 0
     pattern_by_index: dict[int, str] = field(default_factory=dict)
+
+
+def walk_keys(rng_seed: int, walks: int):
+    """The kernel key of each walk w: walk w draws what
+    random.Random(f"{rng_seed}:{w}") draws, as that seeds MT19937 with the
+    integer whose big-endian bytes are s + sha512(s), for s the string's
+    bytes; the key is the little-endian bytes of that integer."""
+    from hashlib import sha512  # only simulate pays for its import
+
+    for w in range(walks):
+        s = f"{rng_seed}:{w}".encode()
+        yield (s + sha512(s).digest())[::-1]
 
 
 def simulate_phenotype_reachability(
@@ -279,8 +286,6 @@ def simulate_phenotype_reachability(
         raise ValueError("need at least one walk")
     m = ts.manager
     contains = m.kernel.contains
-    n = ts.n
-    space_ref = ts.space_ref
     phenotype_of_attr = {}
     for p in phenotypes:
         for ai in p.attractor_indices:
@@ -296,58 +301,15 @@ def simulate_phenotype_reachability(
     units = tree[1] if attrs else 0
     # a walk that leaves this set can never enter a listed attractor
     reach = ts.backward_reach_ref(units)
-    cap = 64 * (1 << min(n, 20))
+    ends, capped, _ = m.kernel.walks(
+        ts.relation, ts.space_ref, reach, units, walk_keys(rng_seed, walks),
+        64 * (1 << min(ts.n, 20)))
     counts: dict[int, int] = {p.index: 0 for p in phenotypes}
-    capped = 0
-    # States are packed into ints, bit i holding variable i.  A packed state
-    # maps to (attractor hit, successors), since walks revisit the same
-    # states.
-    steps_of: dict[int, tuple] = {}
-
-    def step(x: int) -> tuple:
-        """The entry of x, kept while the table has room: the index of the
-        attractor containing x, else None, and the successors of x other
-        than x itself.  They come in ascending order of the variable an
-        async step flips; a sync state has one.  A state that cannot reach
-        a listed attractor gets none."""
-        hit = None
-        if contains(units, x):
-            i = 1
-            while i < k:
-                i = 2 * i if contains(tree[2 * i], x) else 2 * i + 1
-            hit = attrs[i - k].index
-        succs = ()
-        if hit is None and contains(reach, x):
-            succs = tuple(sorted((y for y in ts.successors(x) if y != x),
-                                 key=lambda y: x ^ y))
-        entry = (hit, succs)
-        if len(steps_of) < STEP_TABLE_LIMIT:
-            steps_of[x] = entry
-        return entry
-
-    for w in range(walks):
-        rng = random.Random(f"{rng_seed}:{w}")
-        # uniform admissible start state by rejection
-        while True:
-            x = 0
-            for i in range(n):
-                x |= rng.randrange(2) << i
-            if contains(space_ref, x):
-                break
-        steps = 0
-        while True:
-            hit, succs = steps_of.get(x) or step(x)
-            # a state that cannot reach a listed attractor (a steady state
-            # or a totalized deadlock missing from a partial unit list, say)
-            # has no successors left: the walk counts as capped
-            if hit is not None or steps >= cap or not succs:
-                break
-            x = succs[rng.randrange(len(succs))]
-            steps += 1
-        if hit is None:
-            capped += 1
-        else:
-            counts[phenotype_of_attr[hit]] += 1
+    for x, walks_to_x in ends.items():
+        i = 1
+        while i < k:
+            i = 2 * i if contains(tree[2 * i], x) else 2 * i + 1
+        counts[phenotype_of_attr[attrs[i - k].index]] += walks_to_x
     done = walks - capped
     freqs = {i: (c / done if done else 0.0) for i, c in counts.items()}
     return SimulationResult(freqs, walks, capped,

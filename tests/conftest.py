@@ -1,5 +1,11 @@
+import importlib.util
+import shutil
+import sysconfig
+from pathlib import Path
+
 import pytest
 
+from basinscope.dd import _kernel_py
 from basinscope.model import parse_bnet
 from basinscope.stg import UpdateMode, build
 
@@ -16,6 +22,32 @@ OVERLAP_SEEDS = [{"a": 0, "b": 1, "c": 1}, {"a": 1, "b": 1}]
 # self-loop
 VAN_HAM = ("x_medium, !a | x_high\nx_high, x_medium\n"
            "a, x_medium & !a | !x_high\nb, x_medium | a\nc, !a | x_medium\n")
+KERNEL_C_SOURCE = Path(_kernel_py.__file__).with_name("_kernel_c.c")
+
+
+@pytest.fixture(scope="session")
+def kernel_c(tmp_path_factory):
+    """The C kernel module, compiled from its source into a temporary
+    directory and loaded from there."""
+    cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(cc) is None:
+        pytest.skip(f"no C compiler ({cc}) to build the C kernel")
+    from setuptools import Distribution, Extension
+
+    out = tmp_path_factory.mktemp("kernel_c")
+    dist = Distribution(
+        {"ext_modules": [Extension("_kernel_c", [str(KERNEL_C_SOURCE)])]})
+    cmd = dist.get_command_obj("build_ext")
+    cmd.build_lib = str(out)
+    cmd.build_temp = str(out / "tmp")
+    cmd.ensure_finalized()
+    cmd.run()
+    spec = importlib.util.spec_from_file_location(
+        "_kernel_c", cmd.get_ext_fullpath("_kernel_c"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.BACKEND == "c"
+    return module
 
 
 @pytest.fixture

@@ -1,14 +1,14 @@
 import random
-from types import SimpleNamespace
 
 import pytest
 
-from basinscope import diagrams
 from basinscope.attractors import attractors, import_attractors
 from basinscope.basins import strong_basin, weak_basin
+from basinscope.dd import _kernel_py, _select
 from basinscope.diagrams import (
     commitment_diagram, commitment_sets, compute_phenotypes, diagram_to_json,
-    phenotype_diagram, phenotype_of, simulate_phenotype_reachability)
+    phenotype_diagram, phenotype_of, simulate_phenotype_reachability,
+    walk_keys)
 from basinscope.model import parse_bnet
 from basinscope.stg import UpdateMode, build
 from conftest import OVERLAP, OVERLAP_SEEDS
@@ -214,62 +214,89 @@ def test_simulation_deterministic(toggle_ts):
     assert r1.frequencies == r2.frequencies
 
 
+@pytest.mark.parametrize("seed", [0, 7, -3])
+def test_walk_keys_draw_what_the_string_seeds_draw(seed):
+    """Walk w's key seeds the generator that random.Random(f"{seed}:{w}")
+    is."""
+    for w, key in enumerate(walk_keys(seed, 40)):
+        ours = random.Random(int.from_bytes(key, "little"))
+        theirs = random.Random(f"{seed}:{w}")
+        assert ([ours.getrandbits(32) for _ in range(32)]
+                == [theirs.getrandbits(32) for _ in range(32)])
+
+
 @pytest.mark.parametrize("mode", [UpdateMode.ASYNC, UpdateMode.SYNC])
 def test_simulation_step_table_limit_changes_nothing(mode, monkeypatch):
-    """States past the step-table limit are computed again on each visit,
-    with the same result; the partial unit list also caps walks."""
+    """On the pure-Python kernel, states past its step-table limit are
+    computed again on each visit, with the same result; the partial unit
+    list also caps walks."""
+    monkeypatch.setattr(_select, "Kernel", _kernel_py.Kernel)
     ts = build(random_network(random.Random(2), 5), mode)
     attrs = attractors(ts)
     phenos = compute_phenotypes(ts, attrs[:1], ["v0"])
     runs = []
-    for limit in (diagrams.STEP_TABLE_LIMIT, 0):
-        monkeypatch.setattr(diagrams, "STEP_TABLE_LIMIT", limit)
+    for limit in (_kernel_py.STEP_TABLE_LIMIT, 0):
+        monkeypatch.setattr(_kernel_py, "STEP_TABLE_LIMIT", limit)
         res = simulate_phenotype_reachability(ts, phenos, attrs[:1], 100, 5)
         runs.append((res.frequencies, res.capped))
     assert runs[0] == runs[1]
     assert runs[0][1] > 0
 
 
-@pytest.fixture
-def draws(monkeypatch):
-    """The arguments of every randrange call the simulator makes."""
-    calls = []
+class RecordingKernel:
+    """A kernel that keeps what each of its walks calls returns."""
 
-    class CountingRandom(random.Random):
-        def randrange(self, *args):
-            calls.append(args)
-            return super().randrange(*args)
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.walk_results = []
 
-    monkeypatch.setattr(diagrams, "random",
-                        SimpleNamespace(Random=CountingRandom))
-    return calls
+    def __getattr__(self, name):
+        return getattr(self.kernel, name)
+
+    def walks(self, *args):
+        self.walk_results.append(self.kernel.walks(*args))
+        return self.walk_results[-1]
 
 
-def test_sync_walk_ends_on_a_steady_state_missing_from_the_list(draws):
+def simulate_on_each_kernel(kernel_c, monkeypatch, text, mode, seeds,
+                            marker):
+    """Simulate 3 walks from seed 0 with the imported seeds, once on each
+    kernel; yields the result and the kernel's step total."""
+    for module in (_kernel_py, kernel_c):
+        monkeypatch.setattr(_select, "Kernel", module.Kernel)
+        ts = build(parse_bnet(text), mode)
+        attrs = import_attractors(ts, seeds)
+        phenos = compute_phenotypes(ts, attrs, [marker])
+        ts.manager.kernel = kernel = RecordingKernel(ts.manager.kernel)
+        res = simulate_phenotype_reachability(ts, phenos, attrs, 3, 0)
+        (_, _, steps), = kernel.walk_results
+        yield res, steps
+
+
+def test_sync_walk_ends_on_a_steady_state_missing_from_the_list(
+        kernel_c, monkeypatch):
     """On the identity network every state is steady; with only 0...0
     imported, a sync walk from any other state ends at once as capped
-    instead of stepping to the cap.  Each walk draws only its start."""
+    instead of stepping to the cap.  No walk takes a step."""
     n = 14
-    ts = build(parse_bnet("".join(f"v{i}, v{i}\n" for i in range(n))),
-               UpdateMode.SYNC)
-    attrs = import_attractors(ts, ["0" * n])
-    phenos = compute_phenotypes(ts, attrs, ["v0"])
-    res = simulate_phenotype_reachability(ts, phenos, attrs, 3, 0)
-    assert (res.frequencies, res.walks, res.capped) == ({1: 0.0}, 3, 3)
-    assert len(draws) == 3 * n
+    text = "".join(f"v{i}, v{i}\n" for i in range(n))
+    for res, steps in simulate_on_each_kernel(
+            kernel_c, monkeypatch, text, UpdateMode.SYNC, ["0" * n], "v0"):
+        assert (res.frequencies, res.walks, res.capped) == ({1: 0.0}, 3, 3)
+        assert steps == 0
 
 
-def test_async_walk_ends_where_no_listed_attractor_is_reachable(draws):
+def test_async_walk_ends_where_no_listed_attractor_is_reachable(
+        kernel_c, monkeypatch):
     """A repressilator beside 11 fixed variables has one cyclic attractor
     per assignment of them; with only the one at 0...0 imported, a walk
     that starts elsewhere can never reach it and ends at once as capped,
-    where it would cycle to the cap.  Each walk draws only its start."""
+    where it would cycle to the cap.  No walk takes a step."""
     n = 14
     text = "a, !c\nb, a\nc, b\n" + "".join(
         f"v{i}, v{i}\n" for i in range(n - 3))
-    ts = build(parse_bnet(text), UpdateMode.ASYNC)
-    attrs = import_attractors(ts, ["1" + "0" * (n - 1)])
-    phenos = compute_phenotypes(ts, attrs, ["a"])
-    res = simulate_phenotype_reachability(ts, phenos, attrs, 3, 0)
-    assert (res.frequencies, res.walks, res.capped) == ({1: 0.0}, 3, 3)
-    assert len(draws) == 3 * n
+    for res, steps in simulate_on_each_kernel(
+            kernel_c, monkeypatch, text, UpdateMode.ASYNC,
+            ["1" + "0" * (n - 1)], "a"):
+        assert (res.frequencies, res.walks, res.capped) == ({1: 0.0}, 3, 3)
+        assert steps == 0

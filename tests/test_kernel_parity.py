@@ -1,15 +1,11 @@
 """Both kernel backends, run on the same operations, build the same nodes.
 
-The C kernel is compiled from its source into a temporary directory and
-loaded from there, so these tests run whether or not the package was built
-in place, and whichever backend the rest of the suite selected.
+The C kernel comes from the `kernel_c` fixture (conftest.py), so these
+tests run whether or not the package was built in place, and whichever
+backend the rest of the suite selected.
 """
 
-import importlib.util
 import random
-import shutil
-import sysconfig
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,37 +15,12 @@ from basinscope import cli
 from basinscope.attractors import attractors
 from basinscope.basins import basin_triples
 from basinscope.dd import (
-    DdManager, ExprStyle, _kernel_py, _select, to_expression)
-from basinscope.model import Var, make_and
-from basinscope.stg import build
+    OP_XOR, DdManager, ExprStyle, _kernel_py, _select, to_expression)
+from basinscope.diagrams import walk_keys
+from basinscope.model import Var, make_and, parse_bnet
+from basinscope.stg import UpdateMode, build
 from conftest import VAN_HAM
-from oracle import random_network
-
-SOURCE = Path(_kernel_py.__file__).with_name("_kernel_c.c")
-
-
-@pytest.fixture(scope="session")
-def kernel_c(tmp_path_factory):
-    cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
-    if shutil.which(cc) is None:
-        pytest.skip(f"no C compiler ({cc}) to build the C kernel")
-    from setuptools import Distribution, Extension
-
-    out = tmp_path_factory.mktemp("kernel_c")
-    dist = Distribution(
-        {"ext_modules": [Extension("_kernel_c", [str(SOURCE)])]})
-    cmd = dist.get_command_obj("build_ext")
-    cmd.build_lib = str(out)
-    cmd.build_temp = str(out / "tmp")
-    cmd.ensure_finalized()
-    cmd.run()
-    spec = importlib.util.spec_from_file_location(
-        "_kernel_c", cmd.get_ext_fullpath("_kernel_c"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    assert module.BACKEND == "c"
-    return module
-
+from oracle import random_network, with_van_ham_pair
 
 OPS = ("mk", "apply", "negate", "exists", "shift", "and_exists")
 STEPS = st.lists(
@@ -262,6 +233,85 @@ def test_packed_state_errors(kernel_c, module):
     with pytest.raises(ValueError, match="primed"):
         kernel.contains(primed, 0)
     assert kernel.successors(primed, 0) == [2, 6, 3, 7]
+
+
+def walks_on(kernel_cls, monkeypatch, net, mode, stop_of, keys, cap):
+    """kernel.walks on the kernel class over the relation of net, one walk
+    per key, ending in the set stop_of(ts)."""
+    monkeypatch.setattr(_select, "Kernel", kernel_cls)
+    ts = build(net, mode)
+    stop = stop_of(ts)
+    return ts.manager.kernel.walks(ts.relation, ts.space_ref,
+                                   ts.backward_reach_ref(stop), stop, keys,
+                                   cap)
+
+
+def listed(count):
+    """stop_of for the union of the first count attractors (all for
+    None)."""
+    def stop_of(ts):
+        stop = 0
+        for a in attractors(ts)[:count]:
+            stop = ts.manager.or_(stop, a.states.ref)
+        return stop
+    return stop_of
+
+
+# keys beyond the simulator's: the empty key seeds as 0, and trailing zero
+# bytes are high zero words that do not count
+ODD_KEYS = [b"", b"\0\0", b"\2" + bytes(8), bytes(range(1, 10))]
+
+
+@pytest.mark.parametrize("mode", [UpdateMode.ASYNC, UpdateMode.SYNC])
+def test_walks_match(kernel_c, monkeypatch, mode):
+    """walks returns the same ends, capped count and step total on both
+    kernels, on random networks, every other one with a van Ham pair, with
+    complete and partial attractor lists."""
+    rng = random.Random(11)
+    keys = [*walk_keys(3, 200), *ODD_KEYS]
+    partial_capped = 0
+    for k in range(12):
+        n = rng.randrange(3, 9)
+        net = random_network(rng, n)
+        if k % 2:
+            net = with_van_ham_pair(net, *rng.sample(range(n), 2))
+        for count in (None, 1):
+            expected = walks_on(_kernel_py.Kernel, monkeypatch, net, mode,
+                                listed(count), keys, 64 << n)
+            assert walks_on(kernel_c.Kernel, monkeypatch, net, mode,
+                            listed(count), keys, 64 << n) == expected
+            ends, capped, _ = expected
+            assert sum(ends.values()) + capped == len(keys)
+            if count is None:
+                assert capped == 0
+            partial_capped += capped
+    assert partial_capped > 0
+
+
+@pytest.mark.parametrize("mode", [UpdateMode.ASYNC, UpdateMode.SYNC])
+def test_walks_match_beyond_one_word(kernel_c, monkeypatch, mode):
+    """35 toggle pairs have 70 variables, so a state spans two words; a
+    walk ends once every pair is settled or the last pair is on."""
+    pairs = 35
+    net = parse_bnet("".join(f"a{j}, !b{j}\nb{j}, !a{j}\n"
+                             for j in range(pairs)))
+
+    def stop_of(ts):
+        m = ts.manager
+        settled = 1
+        for j in range(pairs):
+            settled = m.and_(settled, m.apply(OP_XOR, m.var(2 * j),
+                                              m.var(2 * j + 1)))
+        return m.or_(settled, m.and_(m.var(2 * pairs - 2),
+                                     m.var(2 * pairs - 1)))
+
+    keys = list(walk_keys(5, 60))
+    expected = walks_on(_kernel_py.Kernel, monkeypatch, net, mode, stop_of,
+                        keys, 100)
+    assert walks_on(kernel_c.Kernel, monkeypatch, net, mode, stop_of, keys,
+                    100) == expected
+    ends, capped, steps = expected
+    assert steps > 0 and any(x >> 64 for x in ends)
 
 
 @pytest.fixture(params=["py", "c"])
