@@ -35,97 +35,7 @@ def _write(path: str | None, text: str):
 
 
 def _emit_json(args, payload):
-    _write(args.json, json_text(payload) + "\n")
-
-
-_INF = float("inf")
-_quote = json.encoder.encode_basestring_ascii
-
-
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x in (_INF, -_INF):
-        return "Infinity" if x > 0 else "-Infinity"
-    return float.__repr__(x)
-
-
-def _scalar_text(o) -> str | None:
-    """The JSON text of a scalar, in json's own order of checks, or None
-    for anything else."""
-    if isinstance(o, str):
-        return _quote(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return _float_text(o)
-    return None
-
-
-def _key_text(k) -> str:
-    if isinstance(k, str):
-        return _quote(k)
-    text = _scalar_text(k)
-    if text is None:
-        raise TypeError("keys must be str, int, float, bool or None, "
-                        f"not {k.__class__.__name__}")
-    return '"' + text + '"'
-
-
-def json_text(payload) -> str:
-    """Exactly json.dumps(payload, indent=2), written into one list of
-    parts: with an indent the standard library encodes in pure Python
-    through nested generators, one step per value and separator."""
-    parts: list[str] = []
-    write = parts.append
-
-    def value(o, pad: str):
-        """Writes o; pad is the newline and indent of o's own line."""
-        inner = pad + "  "
-        if isinstance(o, dict):
-            if not o:
-                write("{}")
-                return
-            sep = "{" + inner
-            for k, v in o.items():
-                head = sep + _key_text(k) + ": "
-                text = _scalar_text(v)
-                if text is None:
-                    write(head)
-                    value(v, inner)
-                else:
-                    write(head + text)
-                sep = "," + inner
-            write(pad + "}")
-        elif isinstance(o, (list, tuple)):
-            if not o:
-                write("[]")
-                return
-            sep = "[" + inner
-            for v in o:
-                text = _scalar_text(v)
-                if text is None:
-                    write(sep)
-                    value(v, inner)
-                else:
-                    write(sep + text)
-                sep = "," + inner
-            write(pad + "]")
-        else:
-            text = _scalar_text(o)
-            if text is None:
-                raise TypeError(f"Object of type {o.__class__.__name__} "
-                                "is not JSON serializable")
-            write(text)
-
-    value(payload, "\n")
-    return "".join(parts)
+    _write(args.json, json.dumps(payload, indent=2) + "\n")
 
 
 def _load_network(args):

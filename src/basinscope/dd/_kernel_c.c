@@ -1205,6 +1205,8 @@ static PyObject *Kernel_walks(Kernel *self, PyObject *const *args,
             for (size_t t = 0; t < words; t++)
                 x[t] ^= d[t];
             walked++;
+            if ((walked & 0xffff) == 0 && PyErr_CheckSignals() < 0)
+                goto done;
         }
         steps += (unsigned long long)walked;
         if (PyErr_CheckSignals() < 0)

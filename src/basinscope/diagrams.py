@@ -261,7 +261,10 @@ def walk_keys(rng_seed: int, walks: int):
     random.Random(f"{rng_seed}:{w}") draws, as that seeds MT19937 with the
     integer whose big-endian bytes are s + sha512(s), for s the string's
     bytes; the key is the little-endian bytes of that integer."""
-    from hashlib import sha512  # only simulate pays for its import
+    try:  # the digest Random.seed uses, builtin so that OpenSSL stays out
+        from random import _sha512 as sha512
+    except ImportError:
+        from hashlib import sha512
 
     for w in range(walks):
         s = f"{rng_seed}:{w}".encode()

@@ -1,8 +1,6 @@
 import json
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from basinscope import cli
 from basinscope.cli import run
@@ -314,23 +312,3 @@ def test_interrupt_is_one_line_error(toggle_file, monkeypatch, capsys):
                         (interrupted, cli._SUBCOMMANDS["simulate"][1]))
     assert run(["simulate", "--bnet", toggle_file, "--markers", "a"]) == 130
     assert one_line_error(capsys) == "error: interrupted\n"
-
-
-TEXT = st.one_of(st.text(), st.sampled_from(["\ud800", "\udfff\x7f\u2028é"]))
-SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
-                    TEXT)
-KEYS = st.one_of(TEXT, st.integers(), st.floats(), st.booleans(), st.none())
-PAYLOADS = st.recursive(
-    SCALARS,
-    lambda inner: st.one_of(st.lists(inner, max_size=4),
-                            st.lists(inner, max_size=4).map(tuple),
-                            st.dictionaries(KEYS, inner, max_size=4)),
-    max_leaves=20)
-
-
-@settings(max_examples=300, deadline=None)
-@given(payload=PAYLOADS)
-def test_json_text_is_json_dumps_indent_2(payload):
-    """Non-ASCII and surrogate escapes, float repr, NaN and infinities,
-    empty containers, tuples and non-str keys."""
-    assert cli.json_text(payload) == json.dumps(payload, indent=2)

@@ -6,6 +6,8 @@ backend the rest of the suite selected.
 """
 
 import random
+import signal
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -321,6 +323,28 @@ def manager_on(request, monkeypatch):
               else request.getfixturevalue("kernel_c"))
     monkeypatch.setattr(_select, "Kernel", module.Kernel)
     return DdManager
+
+
+def test_a_walk_without_end_can_be_interrupted(manager_on):
+    """A walk on a one-variable oscillator runs until its cap, 2^30 steps
+    (about a minute on the C kernel); a signal stops it inside that one
+    walk, on either kernel, within seconds."""
+    ts = build(parse_bnet("a, !a\n"), UpdateMode.ASYNC)
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.monotonic()
+    signal.setitimer(signal.ITIMER_REAL, 0.2)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            ts.manager.kernel.walks(ts.relation, ts.space_ref, ts.space_ref,
+                                    0, list(walk_keys(0, 1)), 1 << 30)
+        assert time.monotonic() - start < 10
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_walks_of_a_deep_diagram(manager_on):
