@@ -22,9 +22,7 @@ class DomainError(Exception):
     pass
 
 
-def _write(path: str | None, text: str):
-    if path is None:
-        return
+def _write(path: str, text: str):
     if path == "-":
         sys.stdout.write(text)
         return
@@ -35,7 +33,8 @@ def _write(path: str | None, text: str):
 
 
 def _emit_json(args, payload):
-    _write(args.json, json.dumps(payload, indent=2) + "\n")
+    if args.json is not None:
+        _write(args.json, json.dumps(payload, indent=2) + "\n")
 
 
 def _load_network(args):

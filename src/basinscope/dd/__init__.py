@@ -1,6 +1,7 @@
 """Reduced ordered binary decision diagram kernel and exports."""
 
-from ._select import BACKEND, OP_AND, OP_DIFF, OP_OR, OP_XOR, NodeLimitError
+from ._errors import NodeLimitError
+from ._select import BACKEND, OP_AND, OP_DIFF, OP_OR, OP_XOR
 from .express import ExprStyle, dnf_states, factored, isop_cover, isop_expression, to_expression
 from .manager import DEFAULT_NODE_LIMIT, DdManager, StateSet, node_limit_from_env
 

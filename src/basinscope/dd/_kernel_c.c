@@ -608,18 +608,6 @@ static PyObject *Kernel_mk(Kernel *self, PyObject *const *args,
     return node_result(mk(self, (int32_t)level, low, high));
 }
 
-static PyObject *Kernel_var(Kernel *self, PyObject *arg)
-{
-    long level;
-    if (Kernel_ready(self) < 0 || arg_int(arg, &level) < 0)
-        return NULL;
-    if (level < 0 || level >= self->num_levels) {
-        PyErr_Format(PyExc_ValueError, "level %ld out of range", level);
-        return NULL;
-    }
-    return node_result(mk(self, (int32_t)level, 0, 1));
-}
-
 static PyObject *Kernel_level_of(Kernel *self, PyObject *arg)
 {
     int32_t f;
@@ -664,14 +652,6 @@ static PyObject *Kernel_apply(Kernel *self, PyObject *const *args,
     if (arg_node(self, args[1], &f) < 0 || arg_node(self, args[2], &g) < 0)
         return NULL;
     return node_result(apply(self, (int)op, f, g));
-}
-
-static PyObject *Kernel_negate(Kernel *self, PyObject *arg)
-{
-    int32_t f;
-    if (Kernel_ready(self) < 0 || arg_node(self, arg, &f) < 0)
-        return NULL;
-    return node_result(apply(self, OP_XOR, f, 1));
 }
 
 static PyObject *Kernel_and_exists(Kernel *self, PyObject *const *args,
@@ -749,65 +729,6 @@ static PyObject *Kernel_pick_min_state(Kernel *self, PyObject *arg)
     return state;
 }
 
-/* depth-first, low branch first, like _kernel_py.Kernel.states: an entry is
- * the node for the variables from i on, reached with variable i - 1 set to
- * c; at most one pending entry per variable plus two fresh ones */
-typedef struct {
-    int32_t g, i;
-    char c;
-} Visit;
-
-static PyObject *Kernel_states(Kernel *self, PyObject *arg)
-{
-    int32_t f;
-    if (Kernel_ready(self) < 0 || arg_node(self, arg, &f) < 0
-        || check_unprimed(self, f) < 0)
-        return NULL;
-    int n = self->n;
-    PyObject *out = PyList_New(0);
-    char *bits = malloc((size_t)n + 1);
-    Visit *stack = malloc(((size_t)n + 2) * sizeof(Visit));
-    if (out == NULL || bits == NULL || stack == NULL) {
-        if (out != NULL)
-            PyErr_NoMemory();
-        goto fail;
-    }
-    size_t top = 0;
-    if (f != 0)
-        stack[top++] = (Visit){f, 0, 0};
-    while (top > 0) {
-        Visit v = stack[--top];
-        if (v.i > 0)
-            bits[v.i - 1] = v.c;
-        if (v.i == n) {
-            PyObject *state = PyUnicode_FromStringAndSize(bits, n);
-            int err = state == NULL || PyList_Append(out, state) < 0;
-            Py_XDECREF(state);
-            if (err)
-                goto fail;
-            continue;
-        }
-        Node nd = self->nodes[v.g];
-        int32_t lo = v.g, hi = v.g;
-        if (nd.level == 2 * v.i) {
-            lo = nd.low;
-            hi = nd.high;
-        }
-        if (hi != 0)
-            stack[top++] = (Visit){hi, v.i + 1, '1'};
-        if (lo != 0)
-            stack[top++] = (Visit){lo, v.i + 1, '0'};
-    }
-    free(bits);
-    free(stack);
-    return out;
-fail:
-    free(bits);
-    free(stack);
-    Py_XDECREF(out);
-    return NULL;
-}
-
 /* the terminal that the packed state x reaches in the unprimed diagram f */
 static int32_t descend(const Kernel *k, int32_t f, const uint64_t *x)
 {
@@ -838,9 +759,16 @@ static PyObject *Kernel_contains(Kernel *self, PyObject *const *args,
     return PyBool_FromLong(f);
 }
 
-/* The successors of one state: their packed words, `words` per state, and
- * the scratch of the walk that lists them, the state y being built and a
- * stack of at most one pending entry per variable plus two fresh ones. */
+/* an entry of the state walk: the node for the slots from 2i on, reached
+ * with variable i - 1 set to c */
+typedef struct {
+    int32_t g, i;
+    int c;
+} Visit;
+
+/* The states that one walk lists: their packed words, `words` per state,
+ * and the scratch of the walk, the state y being built and a stack of at
+ * most one pending entry per variable plus two fresh ones. */
 typedef struct {
     uint64_t *w;
     size_t words, len, cap;
@@ -882,11 +810,12 @@ static int succ_push(Succ *s)
     return 0;
 }
 
-/* The packed states y with (x, y') in r, into s, in lexicographic order of
- * their bit strings: depth-first over the variables, y_i = 0 first, like
- * Kernel_states.  An entry is the node of r for the slots from 2i on,
- * reached with variable i - 1 of y set to c.  The unprimed slot of
- * variable i follows x; the primed slot branches, also where r skips it. */
+/* The packed states y of r, into s, in lexicographic order of their bit
+ * strings: depth-first over the variables, y_i = 0 first, as
+ * _kernel_py.Kernel._walk.  With x == NULL the unprimed slot of variable i
+ * branches.  Otherwise it follows x and the primed slot branches, so the
+ * walk lists the successors of x.  A slot that branches does so also where
+ * r skips it. */
 static int successors_of(const Kernel *k, int32_t r, const uint64_t *x,
                          Succ *s)
 {
@@ -909,15 +838,18 @@ static int successors_of(const Kernel *k, int32_t r, const uint64_t *x,
                 return -1;
             continue;
         }
-        int32_t g = v.g;
-        if (k->nodes[g].level == 2 * v.i) {
-            Node nd = k->nodes[g];
-            g = (x[v.i >> 6] >> (v.i & 63)) & 1 ? nd.high : nd.low;
-            if (g == 0)
-                continue;
+        int32_t g = v.g, slot = 2 * v.i;
+        if (x != NULL) {
+            if (k->nodes[g].level == slot) {
+                Node nd = k->nodes[g];
+                g = (x[v.i >> 6] >> (v.i & 63)) & 1 ? nd.high : nd.low;
+                if (g == 0)
+                    continue;
+            }
+            slot++;
         }
         int32_t lo = g, hi = g;
-        if (k->nodes[g].level == 2 * v.i + 1) {
+        if (k->nodes[g].level == slot) {
             lo = k->nodes[g].low;
             hi = k->nodes[g].high;
         }
@@ -958,6 +890,34 @@ static PyObject *Kernel_successors(Kernel *self, PyObject *const *args,
     }
 done:
     free(x);
+    succ_free(&succ);
+    return out;
+}
+
+static PyObject *Kernel_states(Kernel *self, PyObject *arg)
+{
+    int32_t f;
+    if (Kernel_ready(self) < 0 || arg_node(self, arg, &f) < 0
+        || check_unprimed(self, f) < 0)
+        return NULL;
+    PyObject *out = NULL;
+    Succ succ;
+    if (succ_init(self, &succ) < 0 || successors_of(self, f, NULL, &succ) < 0
+        || (out = PyList_New((Py_ssize_t)succ.len)) == NULL)
+        goto done;
+    for (size_t j = 0; j < succ.len; j++) {
+        PyObject *state = PyUnicode_New(self->n, 127);
+        if (state == NULL) {
+            Py_CLEAR(out);
+            break;
+        }
+        Py_UCS1 *bits = PyUnicode_1BYTE_DATA(state);
+        const uint64_t *y = succ.w + j * succ.words;
+        for (int i = 0; i < self->n; i++)
+            bits[i] = '0' + ((y[i >> 6] >> (i & 63)) & 1);
+        PyList_SET_ITEM(out, (Py_ssize_t)j, state);
+    }
+done:
     succ_free(&succ);
     return out;
 }
@@ -1229,7 +1189,6 @@ done:
 static PyMethodDef Kernel_methods[] = {
     {"mk", (PyCFunction)(void (*)(void))Kernel_mk, METH_FASTCALL,
      "mk(level, low, high): the node (level, low, high), reduced."},
-    {"var", (PyCFunction)Kernel_var, METH_O, "var(level): the node of a slot."},
     {"level_of", (PyCFunction)Kernel_level_of, METH_O, NULL},
     {"low_of", (PyCFunction)Kernel_low_of, METH_O, NULL},
     {"high_of", (PyCFunction)Kernel_high_of, METH_O, NULL},
@@ -1238,7 +1197,6 @@ static PyMethodDef Kernel_methods[] = {
      "has_primed(f): whether a primed slot occurs in f."},
     {"apply", (PyCFunction)(void (*)(void))Kernel_apply, METH_FASTCALL,
      "apply(op, f, g): binary Boolean operation."},
-    {"negate", (PyCFunction)Kernel_negate, METH_O, NULL},
     {"and_exists", (PyCFunction)(void (*)(void))Kernel_and_exists,
      METH_FASTCALL,
      "and_exists(parity, f, g): quantify every level of the given parity "
@@ -1298,13 +1256,12 @@ PyMODINIT_FUNC PyInit__kernel_c(void)
 {
     if (PyType_Ready(&KernelType) < 0)
         return NULL;
-    /* share the exception class, so callers catch one NodeLimitError
-     * whichever kernel is loaded */
-    PyObject *py_kernel = PyImport_ImportModule("basinscope.dd._kernel_py");
-    if (py_kernel == NULL)
+    /* the exception class both kernels share */
+    PyObject *errors = PyImport_ImportModule("basinscope.dd._errors");
+    if (errors == NULL)
         return NULL;
-    NodeLimitError = PyObject_GetAttrString(py_kernel, "NodeLimitError");
-    Py_DECREF(py_kernel);
+    NodeLimitError = PyObject_GetAttrString(errors, "NodeLimitError");
+    Py_DECREF(errors);
     if (NodeLimitError == NULL)
         return NULL;
     PyObject *m = PyModule_Create(&kernel_module);

@@ -4,12 +4,16 @@ Node ids are small ints; 0 and 1 are the FALSE/TRUE terminals.  Levels are
 interleaved: model variable i occupies level 2i (unprimed) and 2i+1
 (primed).  Terminals sit at the sentinel level 2n.  Every node records
 whether a primed slot occurs at or below it, so that the state-level walks
-can reject a diagram with primed slots without walking it.
+can reject a diagram with primed slots without walking it.  All operations
+share one computed table, keyed as in the C kernel: (op, f, g) for apply,
+(TAG_AND_EXISTS + parity, f, g) and (TAG_SHIFT + (delta > 0), f, 0).
 """
 
 from __future__ import annotations
 
 import random
+
+from ._errors import NodeLimitError
 
 BACKEND = "py"
 
@@ -18,13 +22,8 @@ OP_OR = 1
 OP_XOR = 2
 OP_DIFF = 3
 
-# Most states a call of Kernel.walks keeps in its step table; a state past
-# the limit is computed again on every visit.
-STEP_TABLE_LIMIT = 1 << 16
-
-
-class NodeLimitError(MemoryError):
-    """Raised when the diagram grows past the configured node cap."""
+TAG_AND_EXISTS = 4
+TAG_SHIFT = 6
 
 
 class Kernel:
@@ -38,9 +37,7 @@ class Kernel:
         self._high = [0, 1]
         self._primed = [0, 0]
         self._unique: dict[tuple[int, int, int], int] = {}
-        self._apply_cache: dict[tuple[int, int, int], int] = {}
-        self._and_exists_cache: dict[tuple[int, int, int], int] = {}
-        self._shift_cache: dict[tuple[int, int], int] = {}
+        self._cache: dict[tuple[int, int, int], int] = {}
 
     # -- node construction -------------------------------------------------
 
@@ -62,9 +59,6 @@ class Kernel:
             self._primed[low] | self._primed[high] | (level & 1))
         self._unique[key] = node
         return node
-
-    def var(self, level: int) -> int:
-        return self.mk(level, 0, 1)
 
     # -- accessors ---------------------------------------------------------
 
@@ -118,7 +112,7 @@ class Kernel:
         if op != OP_DIFF and f > g:
             f, g = g, f
         key = (op, f, g)
-        cached = self._apply_cache.get(key)
+        cached = self._cache.get(key)
         if cached is not None:
             return cached
         level = self._level
@@ -137,11 +131,8 @@ class Kernel:
         r0 = self.apply(op, f0, g0)
         r1 = self.apply(op, f1, g1)
         res = self.mk(top, r0, r1)
-        self._apply_cache[key] = res
+        self._cache[key] = res
         return res
-
-    def negate(self, f: int) -> int:
-        return self.apply(OP_XOR, f, 1)
 
     # -- quantification ----------------------------------------------------
 
@@ -158,8 +149,8 @@ class Kernel:
             return 1
         if g != 1 and f > g:
             f, g = g, f
-        key = (parity, f, g)
-        cached = self._and_exists_cache.get(key)
+        key = (TAG_AND_EXISTS + parity, f, g)
+        cached = self._cache.get(key)
         if cached is not None:
             return cached
         level = self._level
@@ -182,7 +173,7 @@ class Kernel:
             res = 1  # the disjunction is already TRUE: skip the high branch
         else:
             res = self.apply(OP_OR, r0, self.and_exists(parity, f1, g1))
-        self._and_exists_cache[key] = res
+        self._cache[key] = res
         return res
 
     # -- renaming ----------------------------------------------------------
@@ -195,8 +186,8 @@ class Kernel:
             raise ValueError("shift delta must be +1 or -1")
         if f < 2:
             return f
-        key = (delta, f)
-        cached = self._shift_cache.get(key)
+        key = (TAG_SHIFT + (delta > 0), f, 0)
+        cached = self._cache.get(key)
         if cached is not None:
             return cached
         lf = self._level[f]
@@ -206,7 +197,7 @@ class Kernel:
         res = self.mk(lf + delta,
                       self.shift(delta, self._low[f]),
                       self.shift(delta, self._high[f]))
-        self._shift_cache[key] = res
+        self._cache[key] = res
         return res
 
     # -- state-level walks over unprimed diagrams (iterative) --------------
@@ -256,29 +247,8 @@ class Kernel:
     def states(self, f: int) -> list[str]:
         """Satisfying states as bit strings, in lexicographic order."""
         self._check_unprimed(f)
-        n = self.n
-        level, low, high = self._level, self._low, self._high
-        out = []
-        bits = ["0"] * n
-        # depth-first, low branch first; an entry (g, i, c) is the node g
-        # for the variables from i on, reached with variable i - 1 set to c
-        stack = [(f, 0, "")] if f != 0 else []
-        while stack:
-            g, i, c = stack.pop()
-            if i:
-                bits[i - 1] = c
-            if i == n:
-                out.append("".join(bits))
-                continue
-            if level[g] == 2 * i:
-                lo, hi = low[g], high[g]
-            else:
-                lo = hi = g
-            if hi != 0:
-                stack.append((hi, i + 1, "1"))
-            if lo != 0:
-                stack.append((lo, i + 1, "0"))
-        return out
+        # bin(y | 1 << n) is "0b1" followed by y's n bits, variable 0 last
+        return [bin(y | 1 << self.n)[:2:-1] for y in self._walk(f, None)]
 
     # -- walks over packed states (bit i holds variable i) ------------------
 
@@ -300,24 +270,33 @@ class Kernel:
         """The packed states y with (x, y') in r, in lexicographic order of
         their bit strings."""
         self._check_state(x)
+        return self._walk(r, x)
+
+    def _walk(self, r: int, x: int | None) -> list[int]:
+        """The packed states y of r, in lexicographic order of their bit
+        strings: depth-first over the variables, y_i = 0 first.  An entry
+        (g, i, y) is the node g of r for the slots from 2i on, with y's
+        variables below i set.  Without x, the unprimed slot of variable i
+        branches.  With x, it follows x and the primed slot branches; so
+        the walk lists the successors of x.  A slot that branches does so
+        also where r skips it."""
         n = self.n
         level, low, high = self._level, self._low, self._high
         out = []
-        # depth-first, y_i = 0 first; an entry (g, i, y) is the node g of r
-        # for the slots from 2i on, with y's variables below i set.  The
-        # unprimed slot of variable i follows x; the primed slot branches,
-        # also where r skips it.
         stack = [(r, 0, 0)] if r != 0 else []
         while stack:
             g, i, y = stack.pop()
             if i == n:
                 out.append(y)
                 continue
-            if level[g] == 2 * i:
-                g = high[g] if (x >> i) & 1 else low[g]
-                if g == 0:
-                    continue
-            if level[g] == 2 * i + 1:
+            slot = 2 * i
+            if x is not None:
+                if level[g] == slot:
+                    g = high[g] if (x >> i) & 1 else low[g]
+                    if g == 0:
+                        continue
+                slot += 1
+            if level[g] == slot:
                 lo, hi = low[g], high[g]
             else:
                 lo = hi = g
@@ -345,22 +324,6 @@ class Kernel:
             raise ValueError("no admissible state to start from")
         n = self.n
         contains = self.contains
-        table: dict[int, tuple | None] = {}
-
-        def step(x: int) -> tuple | None:
-            """None for a state of stop, else the successors x ^ d of x
-            other than x, by ascending flip d; none outside reach."""
-            entry = None
-            if not contains(stop, x):
-                entry = ()
-                if contains(reach, x):
-                    entry = tuple(sorted(
-                        (y for y in self.successors(r, x) if y != x),
-                        key=lambda y: x ^ y))
-            if len(table) < STEP_TABLE_LIMIT:
-                table[x] = entry
-            return entry
-
         ends: dict[int, int] = {}
         capped = steps = 0
         for key in keys:
@@ -373,14 +336,16 @@ class Kernel:
                     break
             walked = 0
             while True:
-                succs = table[x] if x in table else step(x)
-                if succs is None:
+                if contains(stop, x):
                     ends[x] = ends.get(x, 0) + 1
                     break
-                if walked >= cap or not succs:
+                flips = []
+                if walked < cap and contains(reach, x):
+                    flips = sorted(x ^ y for y in self._walk(r, x) if y != x)
+                if not flips:
                     capped += 1
                     break
-                x = succs[_below(bits, len(succs))]
+                x ^= flips[_below(bits, len(flips))]
                 walked += 1
             steps += walked
         return ends, capped, steps

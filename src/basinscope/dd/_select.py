@@ -10,17 +10,11 @@ if _choice not in (None, "py", "c"):
     raise ImportError(f"BASINSCOPE_DD_BACKEND must be 'py' or 'c', got {_choice!r}")
 
 if _choice == "py":
-    from ._kernel_py import (  # noqa: F401
-        BACKEND, OP_AND, OP_DIFF, OP_OR, OP_XOR, Kernel,
-        NodeLimitError)
+    from ._kernel_py import BACKEND, OP_AND, OP_DIFF, OP_OR, OP_XOR, Kernel  # noqa: F401
 else:
     try:
-        from ._kernel_c import (  # noqa: F401
-            BACKEND, OP_AND, OP_DIFF, OP_OR, OP_XOR, Kernel,
-            NodeLimitError)
+        from ._kernel_c import BACKEND, OP_AND, OP_DIFF, OP_OR, OP_XOR, Kernel  # noqa: F401
     except ImportError:
         if _choice == "c":
             raise
-        from ._kernel_py import (  # noqa: F401
-            BACKEND, OP_AND, OP_DIFF, OP_OR, OP_XOR, Kernel,
-            NodeLimitError)
+        from ._kernel_py import BACKEND, OP_AND, OP_DIFF, OP_OR, OP_XOR, Kernel  # noqa: F401

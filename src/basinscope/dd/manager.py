@@ -12,8 +12,6 @@ OP_OR = _kernel.OP_OR
 OP_XOR = _kernel.OP_XOR
 OP_DIFF = _kernel.OP_DIFF
 
-NodeLimitError = _kernel.NodeLimitError
-
 DEFAULT_NODE_LIMIT = 1 << 24
 
 
@@ -46,10 +44,10 @@ class DdManager:
 
     def var(self, i: int) -> int:
         """Diagram of model variable i (unprimed slot)."""
-        return self.kernel.var(2 * i)
+        return self.kernel.mk(2 * i, 0, 1)
 
     def var_primed(self, i: int) -> int:
-        return self.kernel.var(2 * i + 1)
+        return self.kernel.mk(2 * i + 1, 0, 1)
 
     def compile_expr(self, expr: BoolExpr, primed: bool = False) -> int:
         """Compile an indexed Boolean expression into a diagram."""
@@ -59,7 +57,7 @@ class DdManager:
         if isinstance(expr, Var):
             return self.var_primed(expr.index) if primed else self.var(expr.index)
         if isinstance(expr, Not):
-            return k.negate(self.compile_expr(expr.child, primed))
+            return k.apply(OP_XOR, self.compile_expr(expr.child, primed), 1)
         if isinstance(expr, And):
             acc = 1
             for a in expr.args:
@@ -106,7 +104,7 @@ class DdManager:
         return self.kernel.apply(OP_DIFF, f, g)
 
     def not_(self, f: int) -> int:
-        return self.kernel.negate(f)
+        return self.kernel.apply(OP_XOR, f, 1)
 
     # -- quantification and renaming ---------------------------------------
 

@@ -78,6 +78,18 @@ def test_basins_outputs(toggle_file, tmp_path, capsys):
     assert svg.read_text().startswith("<svg")
 
 
+def test_payload_is_not_encoded_without_json(toggle_file, tmp_path,
+                                             monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called without --json")
+
+    monkeypatch.setattr(cli.json, "dumps", refuse)
+    svg = tmp_path / "bars.svg"
+    assert run(["basins", "--bnet", toggle_file, "--svg", str(svg)]) == 0
+    assert svg.read_text().startswith("<svg")
+    assert capsys.readouterr().out == ""
+
+
 def test_commitment_outputs(toggle_file, tmp_path, capsys):
     dot = tmp_path / "diagram.dot"
     pie = tmp_path / "pie.svg"

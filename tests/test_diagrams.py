@@ -225,24 +225,6 @@ def test_walk_keys_draw_what_the_string_seeds_draw(seed):
                 == [theirs.getrandbits(32) for _ in range(32)])
 
 
-@pytest.mark.parametrize("mode", [UpdateMode.ASYNC, UpdateMode.SYNC])
-def test_simulation_step_table_limit_changes_nothing(mode, monkeypatch):
-    """On the pure-Python kernel, states past its step-table limit are
-    computed again on each visit, with the same result; the partial unit
-    list also caps walks."""
-    monkeypatch.setattr(_select, "Kernel", _kernel_py.Kernel)
-    ts = build(random_network(random.Random(2), 5), mode)
-    attrs = attractors(ts)
-    phenos = compute_phenotypes(ts, attrs[:1], ["v0"])
-    runs = []
-    for limit in (_kernel_py.STEP_TABLE_LIMIT, 0):
-        monkeypatch.setattr(_kernel_py, "STEP_TABLE_LIMIT", limit)
-        res = simulate_phenotype_reachability(ts, phenos, attrs[:1], 100, 5)
-        runs.append((res.frequencies, res.capped))
-    assert runs[0] == runs[1]
-    assert runs[0][1] > 0
-
-
 class RecordingKernel:
     """A kernel that keeps what each of its walks calls returns."""
 

@@ -5,6 +5,7 @@ tests run whether or not the package was built in place, and whichever
 backend the rest of the suite selected.
 """
 
+import itertools
 import random
 import signal
 import time
@@ -40,7 +41,7 @@ def run_ops(kernel, steps):
     trace = []
     for level in range(kernel.num_levels):
         try:
-            pool.append(kernel.var(level))
+            pool.append(kernel.mk(level, 0, 1))
         except MemoryError as exc:
             trace.append((type(exc), str(exc)))
     for name, small, a, b, c in steps:
@@ -55,7 +56,7 @@ def run_ops(kernel, steps):
             elif name == "apply":
                 res = kernel.apply(small, f, g)
             elif name == "negate":
-                res = kernel.negate(f)
+                res = kernel.apply(OP_XOR, f, 1)
             elif name == "exists":
                 res = kernel.and_exists(small % 2, f, 1)
             elif name == "shift":
@@ -121,7 +122,7 @@ def test_and_exists_skips_high_branch_once_true(kernel_c):
     branch (which would build x1 & x2 here) is never computed."""
     for module in (_kernel_py, kernel_c):
         kernel = module.Kernel(4)
-        x1, x2, x1p, x3p = (kernel.var(lvl) for lvl in (2, 4, 3, 7))
+        x1, x2, x1p, x3p = (kernel.mk(lvl, 0, 1) for lvl in (2, 4, 3, 7))
         high = kernel.apply(module.OP_AND, x1,
                             kernel.apply(module.OP_AND, x2, x3p))
         f = kernel.mk(1, 1, high)  # x0' -> x1 & x2 & x3'
@@ -226,7 +227,7 @@ def test_packed_state_walks_match(kernel_c, steps, n_vars):
 @pytest.mark.parametrize("module", ["py", "c"])
 def test_packed_state_errors(kernel_c, module):
     kernel = (_kernel_py if module == "py" else kernel_c).Kernel(3)
-    f, primed = kernel.var(2), kernel.var(3)
+    f, primed = kernel.mk(2, 0, 1), kernel.mk(3, 0, 1)
     for x in (-1, 8, -(1 << 70), 1 << 70):
         for walk in (kernel.contains, kernel.successors):
             with pytest.raises(ValueError,
@@ -377,6 +378,20 @@ def test_walks_of_a_deep_diagram(manager_on):
     x = ones ^ 1 << 64 ^ 1 << (n - 1)
     assert k.successors(relation, x) == [x, x | 1 << (n - 1)]
     assert k.successors(relation, ones) == [ones ^ 1 << (n - 1), ones]
+    # every variable is 1 but 0, 63, 64 and n - 1, which are free: the set
+    # skips their slots, and two of them share a 64-bit word of the walk
+    free = (0, 63, 64, n - 1)
+    fixed = 1
+    for i in reversed(range(n)):
+        if i not in free:
+            fixed = k.mk(2 * i, 0, fixed)
+    expected = []
+    for bits in itertools.product("01", repeat=len(free)):
+        state = ["1"] * n
+        for i, b in zip(free, bits):
+            state[i] = b
+        expected.append("".join(state))
+    assert list(m.iter_states(fixed)) == expected
 
 
 @pytest.mark.parametrize("style", [ExprStyle.FACTORED, ExprStyle.ISOP])
@@ -391,7 +406,7 @@ def test_export_of_a_deep_diagram(manager_on, style):
 def test_walks_reject_a_deep_primed_node(manager_on):
     m = manager_on(4)
     k = m.kernel
-    f = k.mk(0, k.mk(2, 0, k.mk(4, 1, k.var(7))), 1)
+    f = k.mk(0, k.mk(2, 0, k.mk(4, 1, k.mk(7, 0, 1))), 1)
     assert m.node(f)[0] == 0
     for walk in (m.count_states, m.pick_min_state, m.iter_states):
         with pytest.raises(ValueError, match="primed"):
