@@ -57,13 +57,15 @@ def _numbered(ts: TransitionSystem, entries) -> list[Attractor]:
 
 
 def _sync_cycles(ts: TransitionSystem) -> list[tuple[int, bool]]:
-    """Attractors of a deterministic STG.  Each state has one successor,
-    so every cycle is terminal and is the forward reach of any of its
-    states; the smallest recurrent state left names the next one."""
+    """Attractors of more than one state of a deterministic STG.  Each
+    state has one successor, so every cycle is terminal and is the
+    forward reach of any of its states; the smallest recurrent state left
+    names the next one."""
     m = ts.manager
-    # the states on a cycle: each has a predecessor among them
-    recurrent = ts.gfp_ref(ts.image_ref, ts.space_ref)
     found = []
+    # the states on a cycle: each has a predecessor among them
+    recurrent = m.apply(OP_DIFF, ts.gfp_ref(ts.image_ref, ts.space_ref),
+                        ts.loops)
     while recurrent != 0:
         cycle = ts.forward_reach_ref(
             m.from_states([m.pick_min_state(recurrent)]))
@@ -75,19 +77,29 @@ def _sync_cycles(ts: TransitionSystem) -> list[tuple[int, bool]]:
 def attractors(ts: TransitionSystem) -> list[Attractor]:
     """All terminal SCCs of the STG restricted to the admissible space.
 
-    Pivot-based symbolic search: the SCC of the minimal candidate state is
-    an attractor iff its forward reach lies inside its backward reach.
-    Either way the whole backward reach leaves the candidates, since a
-    state that reaches a non-terminal SCC lies in no attractor, and the
-    next pivot is preferred among the forward reach outside it.
-    Synchronous dynamics are deterministic and take `_sync_cycles` instead.
+    A self-looping state has no other successor, so each state of
+    `ts.loops` is an attractor, and the states that reach one lie in no
+    other attractor: their backward reaches leave the candidates first.
+    The rest is a pivot-based symbolic search: the SCC of the minimal
+    candidate state is an attractor iff its forward reach lies inside its
+    backward reach.  Either way the whole backward reach leaves the
+    candidates, since a state that reaches a non-terminal SCC lies in no
+    attractor, and the next pivot is preferred among the forward reach
+    outside it.  Synchronous dynamics are deterministic and take
+    `_sync_cycles` for the longer cycles instead.
     """
-    if ts.mode is UpdateMode.SYNC:
-        return _numbered(ts, _sync_cycles(ts))
     m = ts.manager
-    candidates = ts.space_ref
+    found = [(m.from_states([s]), False) for s in m.iter_states(ts.loops)]
+    if ts.mode is UpdateMode.SYNC:
+        return _numbered(ts, found + _sync_cycles(ts))
+    candidates = m.apply(OP_DIFF, ts.space_ref, ts.loops)
+    # one reach per state, as the weak basins ask for, so that they find
+    # its preimages cached
+    for loop, _ in found:
+        if candidates == 0:
+            break
+        candidates = m.apply(OP_DIFF, candidates, ts.backward_reach_ref(loop))
     preferred = 0
-    found: list[tuple[int, bool]] = []
     while candidates != 0:
         # preferred is a subset of candidates
         pool = preferred if preferred != 0 else candidates

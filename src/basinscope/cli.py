@@ -134,10 +134,12 @@ def cmd_commitment(args) -> int:
     ts = _build_ts(args)
     attrs, partial = _get_attractors(ts, args)
     diagram = diag_mod.commitment_diagram(ts, attrs, partial)
-    style = ExprStyle(args.expression_style)
-    payload = diagram_to_payload(ts, diagram, style)
-    payload["attractors"] = [_attractor_payload(a) for a in attrs]
-    _emit_json(args, payload)
+    # the payload exports one expression per node: build it only to emit it
+    if args.json is not None:
+        payload = diagram_to_payload(
+            ts, diagram, ExprStyle(args.expression_style))
+        payload["attractors"] = [_attractor_payload(a) for a in attrs]
+        _emit_json(args, payload)
     if args.dot:
         _write(args.dot, report_mod.diagram_to_dot(diagram))
     if args.svg:
@@ -162,17 +164,17 @@ def cmd_phenotypes(args) -> int:
     markers = _markers(args, ts)
     phenos = diag_mod.compute_phenotypes(ts, attrs, markers)
     diagram = diag_mod.phenotype_diagram(ts, attrs, phenos, partial)
-    style = ExprStyle(args.expression_style)
-    payload = {
-        "markers": markers,
-        "phenotypes": [
-            {"index": p.index, "pattern": p.pattern,
-             "attractors": list(p.attractor_indices)}
-            for p in phenos
-        ],
-        "diagram": diagram_to_payload(ts, diagram, style),
-    }
-    _emit_json(args, payload)
+    if args.json is not None:
+        _emit_json(args, {
+            "markers": markers,
+            "phenotypes": [
+                {"index": p.index, "pattern": p.pattern,
+                 "attractors": list(p.attractor_indices)}
+                for p in phenos
+            ],
+            "diagram": diagram_to_payload(
+                ts, diagram, ExprStyle(args.expression_style)),
+        })
     if args.dot:
         _write(args.dot, report_mod.diagram_to_dot(diagram))
     if args.svg:

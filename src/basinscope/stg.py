@@ -17,7 +17,11 @@ class UpdateMode(enum.Enum):
 @dataclass
 class TransitionSystem:
     """Transition relation over unprimed/primed slot pairs, restricted to
-    the admissible state space and totalized by self-loops."""
+    the admissible state space and totalized by self-loops.
+
+    `loops` holds the states with a self-loop.  Each has no other
+    successor, so each is a one-state attractor, and attractor detection
+    takes them, and removes their backward reaches, before any pivot."""
 
     manager: DdManager
     net: BooleanNetwork
@@ -25,6 +29,7 @@ class TransitionSystem:
     relation: int
     space_ref: int
     n: int
+    loops: int
     _preimage_cache: dict = field(default_factory=dict, repr=False)
 
     # -- set plumbing ------------------------------------------------------
@@ -123,7 +128,8 @@ def build(net: BooleanNetwork, mode: UpdateMode = UpdateMode.ASYNC,
     SYNC: y = f(x).  A state left without a successor self-loops, so the
     relation is total on the space: an async steady state, which has no
     variable to flip, and a state stranded by the admissibility
-    restriction.  A sync steady state has y = f(x) = x.
+    restriction.  A sync steady state has y = f(x) = x.  The states that
+    self-loop, in either mode, are kept as `loops`.
     """
     n = net.n
     m = DdManager(n, node_limit)
@@ -164,8 +170,11 @@ def build(net: BooleanNetwork, mode: UpdateMode = UpdateMode.ASYNC,
     deadlocks = m.apply(OP_DIFF, space, has_succ)
     if deadlocks != 0:
         relation = m.apply(OP_OR, relation, m.apply(OP_AND, deadlocks, identity))
+    # an async flip changes a variable, so only the deadlocks self-loop;
+    # a sync state has one successor, so its fixed points join them
+    loops = m.exists_primed(relation, identity)
 
-    return TransitionSystem(m, net, mode, relation, space, n)
+    return TransitionSystem(m, net, mode, relation, space, n, loops)
 
 
 def steady_states(ts: TransitionSystem) -> StateSet:

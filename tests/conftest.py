@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from basinscope.dd import _kernel_py
+from basinscope.dd import DdManager, _kernel_py, _select
 from basinscope.model import parse_bnet
 from basinscope.stg import UpdateMode, build
 
@@ -48,6 +48,16 @@ def kernel_c(tmp_path_factory):
     spec.loader.exec_module(module)
     assert module.BACKEND == "c"
     return module
+
+
+@pytest.fixture(params=["py", "c"])
+def manager_on(request, monkeypatch):
+    """DdManager factory on the named kernel backend; `build` then runs on
+    that backend too."""
+    module = (_kernel_py if request.param == "py"
+              else request.getfixturevalue("kernel_c"))
+    monkeypatch.setattr(_select, "Kernel", module.Kernel)
+    return DdManager
 
 
 @pytest.fixture

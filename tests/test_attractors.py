@@ -7,7 +7,7 @@ from basinscope.attractors import (
     load_attractor_seeds, steady_states)
 from basinscope.ctl import EF, accept_ref, atom_states
 from basinscope.model import parse_bnet
-from basinscope.stg import build
+from basinscope.stg import UpdateMode, build
 from oracle import (
     explicit_stg, random_network, tarjan_sccs, terminal_sccs,
     with_van_ham_pair)
@@ -31,6 +31,21 @@ def test_chain_three_steady(chain_ts):
     assert len(attrs) == 3
     assert all(a.kind is AttractorKind.STEADY for a in attrs)
     assert [a.representative for a in attrs] == ["00", "10", "11"]
+
+
+def test_steady_only_detection_takes_no_pivot(chain_ts, monkeypatch):
+    """Three steady states and no cycle: no forward reach, and at most one
+    backward reach per steady state."""
+    calls = []
+    for name in ("forward_reach_ref", "backward_reach_ref"):
+        reach = getattr(chain_ts, name)
+        monkeypatch.setattr(
+            chain_ts, name,
+            lambda *args, name=name, reach=reach:
+                calls.append(name) or reach(*args))
+    assert len(attractors(chain_ts)) == 3
+    assert "forward_reach_ref" not in calls
+    assert 0 < calls.count("backward_reach_ref") <= 3
 
 
 def test_steady_equals_union_of_steady_attractors(chain_ts):
@@ -58,6 +73,21 @@ def oracle_cases(seed, count):
         net = random_network(rng, n)
         yield net
         yield with_van_ham_pair(net, *pairs.sample(range(n), 2))
+
+
+@pytest.mark.parametrize("mode", list(UpdateMode), ids=lambda mode: mode.value)
+def test_loops_are_the_one_state_attractors(manager_on, mode):
+    """The self-looping states are the one-state terminal SCCs, stranded
+    states of the van Ham pairs among them."""
+    stranded = 0
+    for net in oracle_cases(31, 30):
+        ts = build(net, mode)
+        loops = ts.set_of(ts.loops)
+        expected = [scc[0] for scc in terminal_sccs(explicit_stg(
+            net, mode.value)) if len(scc) == 1]
+        assert loops.states() == sorted(expected)
+        stranded += (loops - steady_states(ts)).count()
+    assert stranded > 0
 
 
 def test_import_non_terminal_seed_rejected(toggle_net):

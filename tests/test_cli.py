@@ -90,6 +90,30 @@ def test_payload_is_not_encoded_without_json(toggle_file, tmp_path,
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["commitment"], ["commitment", "--update", "sync"],
+    ["phenotypes", "--markers", "a"]])
+def test_diagram_expressions_are_exported_only_for_json(argv, tmp_path,
+                                                        monkeypatch):
+    """A --dot-only run exports no node expression and writes the same
+    DOT bytes as a run that also writes the JSON payload."""
+    model = tmp_path / "van_ham.bnet"
+    model.write_text(VAN_HAM)
+    calls = []
+    export = cli.to_expression
+    monkeypatch.setattr(cli, "to_expression",
+                        lambda *args: calls.append(1) or export(*args))
+    argv = [*argv, "--bnet", str(model), "--dot"]
+    assert run([*argv, str(tmp_path / "with.dot"),
+                "--json", str(tmp_path / "out.json")]) == 0
+    assert calls
+    calls.clear()
+    assert run([*argv, str(tmp_path / "only.dot")]) == 0
+    assert calls == []
+    assert (tmp_path / "only.dot").read_bytes() == \
+        (tmp_path / "with.dot").read_bytes()
+
+
 def test_commitment_outputs(toggle_file, tmp_path, capsys):
     dot = tmp_path / "diagram.dot"
     pie = tmp_path / "pie.svg"

@@ -18,7 +18,7 @@ from basinscope import cli
 from basinscope.attractors import attractors
 from basinscope.basins import basin_triples
 from basinscope.dd import (
-    OP_XOR, DdManager, ExprStyle, _kernel_py, _select, to_expression)
+    OP_XOR, ExprStyle, _kernel_py, _select, to_expression)
 from basinscope.diagrams import walk_keys
 from basinscope.model import Var, make_and, parse_bnet
 from basinscope.stg import UpdateMode, build
@@ -317,15 +317,6 @@ def test_walks_match_beyond_one_word(kernel_c, monkeypatch, mode):
     assert steps > 0 and any(x >> 64 for x in ends)
 
 
-@pytest.fixture(params=["py", "c"])
-def manager_on(request, monkeypatch):
-    """DdManager factory on the named kernel backend."""
-    module = (_kernel_py if request.param == "py"
-              else request.getfixturevalue("kernel_c"))
-    monkeypatch.setattr(_select, "Kernel", module.Kernel)
-    return DdManager
-
-
 def test_a_walk_without_end_can_be_interrupted(manager_on):
     """A walk on a one-variable oscillator runs until its cap, 2^30 steps
     (about a minute on the C kernel); a signal stops it inside that one
@@ -435,7 +426,7 @@ def analyse(kernel_cls, monkeypatch, net, node_limit=None):
 
 
 @pytest.mark.parametrize("seed, n, node_limit", [
-    (4, 9, None), (2, 11, None), (2, 11, 5000)])
+    (6, 10, None), (2, 11, None), (2, 11, 5000)])
 def test_pipeline_matches_node_for_node(kernel_c, monkeypatch, seed, n,
                                         node_limit):
     """Whole analyses grow the C kernel's unique and computed tables past
