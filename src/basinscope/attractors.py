@@ -140,7 +140,7 @@ def import_attractors(ts: TransitionSystem, seeds) -> list[Attractor]:
     union = 0  # the states of every entry so far
     for seed in seeds:
         if isinstance(seed, str):
-            if len(seed) != ts.n or any(c not in "01" for c in seed):
+            if len(seed) != ts.net.n or any(c not in "01" for c in seed):
                 raise AttractorError(f"bad state seed {seed!r}")
             pivot = m.from_states([seed])
             if m.apply(OP_AND, pivot, ts.space_ref) == 0:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .attractors import Attractor
-from .ctl import AF, AG, EF, accept_ref, atom_states
+from .ctl import AF, AG, EF, Atom, accept_ref
 from .dd import StateSet
 from .stg import TransitionSystem, UpdateMode
 
@@ -14,14 +14,14 @@ def weak_basin(ts: TransitionSystem, x: StateSet) -> StateSet:
     """States with at least one path into x (EF query on representatives)."""
     if x.is_empty():
         raise ValueError("weak basin of the empty set")
-    return ts.set_of(accept_ref(ts, EF(atom_states(x))))
+    return ts.set_of(accept_ref(ts, EF(Atom(x))))
 
 
 def strong_basin(ts: TransitionSystem, x: StateSet) -> StateSet:
     """States that can only reach x among attractors (AG EF query)."""
     if x.is_empty():
         raise ValueError("strong basin of the empty set")
-    return ts.set_of(accept_ref(ts, AG(EF(atom_states(x)))))
+    return ts.set_of(accept_ref(ts, AG(EF(Atom(x)))))
 
 
 def cycle_free_basin(ts: TransitionSystem, y: StateSet) -> StateSet:
@@ -29,7 +29,7 @@ def cycle_free_basin(ts: TransitionSystem, y: StateSet) -> StateSet:
     triples pass the attractor's own states)."""
     if y.is_empty():
         raise ValueError("cycle-free basin of the empty set")
-    return ts.set_of(accept_ref(ts, AF(atom_states(y))))
+    return ts.set_of(accept_ref(ts, AF(Atom(y))))
 
 
 @dataclass(frozen=True)

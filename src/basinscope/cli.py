@@ -153,7 +153,7 @@ def diagram_to_payload(ts, diagram, style) -> dict:
 
 
 def _diagram_pie(ts, diagram) -> str:
-    blocks = [("{" + ",".join(map(str, key)) + "}", diagram.nodes[key].size)
+    blocks = [(report_mod.key_label(key), diagram.nodes[key].size)
               for key in diagram.sorted_keys()]
     return report_mod.basin_piechart_svg(blocks, ts.space_size())
 
@@ -186,14 +186,16 @@ def cmd_check(args) -> int:
     ts = _build_ts(args)
     try:
         formula = parse_ctl(args.ctl)
-        result = accept(ts, formula, ExprStyle(args.expression_style))
+        states = accept(ts, formula)
     except CtlError as exc:
         raise DomainError(str(exc)) from exc
     names = ts.net.variables.names
+    style = ExprStyle(args.expression_style)
     payload = {
         "formula": render_ctl(formula, names),
-        "count": result.count,
-        "expression": render_expr(result.expression, names),
+        "count": states.count(),
+        "expression": render_expr(
+            to_expression(ts.manager, states.ref, style), names),
         "style": args.expression_style,
     }
     _emit_json(args, payload)
@@ -230,10 +232,8 @@ def cmd_simulate(args) -> int:
         "walks": result.walks,
         "capped": result.capped,
         "seed": args.seed,
-        "frequencies": {
-            result.pattern_by_index[i]: round(freq, 10)
-            for i, freq in sorted(result.frequencies.items())
-        },
+        "frequencies": {p.pattern: round(result.frequencies[p.index], 10)
+                        for p in phenos},
     }
     _emit_json(args, payload)
     return 0

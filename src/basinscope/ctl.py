@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .dd import ExprStyle, OP_AND, OP_DIFF, OP_OR, StateSet, to_expression
-from .model import (
-    BnetError, BoolExpr, Const, NameVar, render_expr, resolve_names)
+from .dd import OP_AND, OP_DIFF, OP_OR, StateSet
+from .model import BnetError, Const, NameVar, render_expr, resolve_names
 from .stg import TransitionSystem
 
 
@@ -60,20 +59,8 @@ class Until(CtlFormula):
     right: CtlFormula
 
 
-def EX(f):
-    return Unary("EX", f)
-
-
 def EF(f):
     return Unary("EF", f)
-
-
-def EG(f):
-    return Unary("EG", f)
-
-
-def AX(f):
-    return Unary("AX", f)
 
 
 def AF(f):
@@ -82,10 +69,6 @@ def AF(f):
 
 def AG(f):
     return Unary("AG", f)
-
-
-def atom_states(states: StateSet) -> Atom:
-    return Atom(states)
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +159,7 @@ def parse_ctl(text: str) -> CtlFormula:
 
 
 def render_ctl(f: CtlFormula, names) -> str:
-    if isinstance(f, Atom):
-        if isinstance(f.payload, StateSet):
-            return f"<set:{f.payload.count()}>"
+    if isinstance(f, Atom):  # parsed formulas hold no state-set atoms
         return f"({render_expr(f.payload, names)})"
     if isinstance(f, NotC):
         return f"!{render_ctl(f.child, names)}"
@@ -198,23 +179,6 @@ def render_ctl(f: CtlFormula, names) -> str:
 # evaluation
 
 
-@dataclass
-class AcceptResult:
-    """Accepting states of a query plus cardinality and an expression."""
-
-    states: StateSet
-    count: int
-    style: ExprStyle = ExprStyle.ISOP
-    _expression: BoolExpr | None = field(default=None, repr=False)
-
-    @property
-    def expression(self) -> BoolExpr:
-        if self._expression is None:
-            self._expression = to_expression(
-                self.states.manager, self.states.ref, self.style)
-        return self._expression
-
-
 def accept_ref(ts: TransitionSystem, formula: CtlFormula) -> int:
     """Evaluate a formula to the diagram of its accepting states in space."""
     m = ts.manager
@@ -231,13 +195,7 @@ def accept_ref(ts: TransitionSystem, formula: CtlFormula) -> int:
     def eg(x: int) -> int:
         return ts.gfp_ref(ex, x)
 
-    memo: dict[int, int] = {}
-
     def ev(f: CtlFormula) -> int:
-        key = id(f)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
         if isinstance(f, Atom):
             p = f.payload
             if isinstance(p, StateSet):
@@ -283,15 +241,12 @@ def accept_ref(ts: TransitionSystem, formula: CtlFormula) -> int:
                     OP_OR, ef(m.apply(OP_AND, na, nb), within=nb), eg(nb)))
         else:
             raise CtlError(f"cannot evaluate {f!r}")
-        memo[key] = res
         return res
 
     return ev(formula)
 
 
-def accept(ts: TransitionSystem, formula: CtlFormula,
-           style: ExprStyle = ExprStyle.ISOP) -> AcceptResult:
-    """Accepting states of a CTL formula over the totalized relation."""
-    ref = accept_ref(ts, formula)
-    states = ts.set_of(ref)
-    return AcceptResult(states, states.count(), style)
+def accept(ts: TransitionSystem, formula: CtlFormula) -> StateSet:
+    """The accepting states of a CTL formula over the totalized relation;
+    the caller counts them or exports them as an expression."""
+    return ts.set_of(accept_ref(ts, formula))

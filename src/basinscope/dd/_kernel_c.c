@@ -1227,7 +1227,6 @@ static PyMethodDef Kernel_methods[] = {
 static PyMemberDef Kernel_members[] = {
     {"n", T_INT, offsetof(Kernel, n), READONLY, NULL},
     {"num_levels", T_INT, offsetof(Kernel, num_levels), READONLY, NULL},
-    {"node_limit", T_LONGLONG, offsetof(Kernel, node_limit), READONLY, NULL},
     {NULL, 0, 0, 0, NULL},
 };
 

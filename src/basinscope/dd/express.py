@@ -113,8 +113,8 @@ def _isop_known(L: int, U: int, memo):
 def _isop_frame(m: DdManager, L: int, U: int, memo):
     """One level of the interval recursion as a generator: it yields each
     sub-interval (L', U') and is sent back its (cubes, ref)."""
-    lvl = min(m.node(L)[0] if L >= 2 else m.kernel.num_levels,
-              m.node(U)[0] if U >= 2 else m.kernel.num_levels)
+    k = m.kernel
+    lvl = min(k.level_of(L), k.level_of(U))
     v = lvl // 2
     L0, L1 = _cofactors(m, L, lvl)
     U0, U1 = _cofactors(m, U, lvl)
@@ -128,7 +128,7 @@ def _isop_frame(m: DdManager, L: int, U: int, memo):
     cubes = ([{v: 0, **c} for c in c0]
              + [{v: 1, **c} for c in c1]
              + cd)
-    ref = m.kernel.mk(lvl, m.apply(OP_OR, C0, Cd), m.apply(OP_OR, C1, Cd))
+    ref = k.mk(lvl, m.apply(OP_OR, C0, Cd), m.apply(OP_OR, C1, Cd))
     memo[(L, U)] = (cubes, ref)
     return cubes, ref
 

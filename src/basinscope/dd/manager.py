@@ -30,15 +30,12 @@ def node_limit_from_env() -> int:
 
 
 class DdManager:
-    """Canonical node store over 2n interleaved slots (unprimed, primed)."""
+    """Canonical node store over 2n interleaved slots (unprimed, primed);
+    its node limit is read from BASINSCOPE_NODE_LIMIT."""
 
-    def __init__(self, n_vars: int, node_limit: int | None = None):
-        if node_limit is None:
-            node_limit = node_limit_from_env()
-        self.kernel = _kernel.Kernel(n_vars, node_limit)
+    def __init__(self, n_vars: int):
+        self.kernel = _kernel.Kernel(n_vars, node_limit_from_env())
         self.n = n_vars
-        self.FALSE = 0
-        self.TRUE = 1
 
     # -- construction ------------------------------------------------------
 
@@ -49,24 +46,24 @@ class DdManager:
     def var_primed(self, i: int) -> int:
         return self.kernel.mk(2 * i + 1, 0, 1)
 
-    def compile_expr(self, expr: BoolExpr, primed: bool = False) -> int:
-        """Compile an indexed Boolean expression into a diagram."""
+    def compile_expr(self, expr: BoolExpr) -> int:
+        """Compile an indexed Boolean expression into an unprimed diagram."""
         k = self.kernel
         if isinstance(expr, Const):
             return expr.value
         if isinstance(expr, Var):
-            return self.var_primed(expr.index) if primed else self.var(expr.index)
+            return self.var(expr.index)
         if isinstance(expr, Not):
-            return k.apply(OP_XOR, self.compile_expr(expr.child, primed), 1)
+            return k.apply(OP_XOR, self.compile_expr(expr.child), 1)
         if isinstance(expr, And):
             acc = 1
             for a in expr.args:
-                acc = k.apply(OP_AND, acc, self.compile_expr(a, primed))
+                acc = k.apply(OP_AND, acc, self.compile_expr(a))
             return acc
         if isinstance(expr, Or):
             acc = 0
             for a in expr.args:
-                acc = k.apply(OP_OR, acc, self.compile_expr(a, primed))
+                acc = k.apply(OP_OR, acc, self.compile_expr(a))
             return acc
         raise ValueError(f"cannot compile {expr!r}")
 

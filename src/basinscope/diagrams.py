@@ -4,12 +4,22 @@ phenotype reachability estimation."""
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .attractors import Attractor
 from .basins import weak_basin
 from .dd import OP_AND, OP_DIFF, StateSet
 from .stg import TransitionSystem
+
+# the builtin digest that Random.seed uses, so that OpenSSL stays unloaded;
+# CPython 3.13 imports it only on the first string seed, so random has none
+try:
+    from _sha2 import sha512  # 3.12+
+except ImportError:
+    try:
+        from _sha512 import sha512  # 3.10, 3.11
+    except ImportError:
+        from hashlib import sha512
 
 
 class DiagramError(RuntimeError):
@@ -18,7 +28,6 @@ class DiagramError(RuntimeError):
 
 @dataclass(frozen=True)
 class DiagramNode:
-    key: tuple[int, ...]
     states: StateSet
     size: int
     percent: float
@@ -100,7 +109,7 @@ def _quotient_nodes(ts: TransitionSystem, units: dict[int, StateSet],
             continue
         states = ts.set_of(ref)
         size = states.count()
-        nodes[key] = DiagramNode(key, states, size,
+        nodes[key] = DiagramNode(states, size,
                                  100.0 * size / total if total else 0.0)
     return nodes
 
@@ -158,7 +167,6 @@ class Phenotype:
     attractors."""
 
     index: int  # 1-based, in pattern order (0 < 1 < *)
-    markers: tuple[str, ...]
     pattern: str
     attractor_indices: tuple[int, ...]
 
@@ -196,7 +204,7 @@ def compute_phenotypes(ts: TransitionSystem, attrs: list[Attractor],
     for a in attrs:
         groups.setdefault(phenotype_of(ts, a, markers), []).append(a.index)
     ordered = sorted(groups, key=lambda p: [_PATTERN_ORDER[c] for c in p])
-    return [Phenotype(i, tuple(markers), pattern, tuple(sorted(groups[pattern])))
+    return [Phenotype(i, pattern, tuple(sorted(groups[pattern])))
             for i, pattern in enumerate(ordered, start=1)]
 
 
@@ -253,7 +261,6 @@ class SimulationResult:
     frequencies: dict[int, float]
     walks: int
     capped: int = 0
-    pattern_by_index: dict[int, str] = field(default_factory=dict)
 
 
 def walk_keys(rng_seed: int, walks: int):
@@ -261,11 +268,6 @@ def walk_keys(rng_seed: int, walks: int):
     random.Random(f"{rng_seed}:{w}") draws, as that seeds MT19937 with the
     integer whose big-endian bytes are s + sha512(s), for s the string's
     bytes; the key is the little-endian bytes of that integer."""
-    try:  # the digest Random.seed uses, builtin so that OpenSSL stays out
-        from random import _sha512 as sha512
-    except ImportError:
-        from hashlib import sha512
-
     for w in range(walks):
         s = f"{rng_seed}:{w}".encode()
         yield (s + sha512(s).digest())[::-1]
@@ -306,7 +308,7 @@ def simulate_phenotype_reachability(
     reach = ts.backward_reach_ref(units)
     ends, capped, _ = m.kernel.walks(
         ts.relation, ts.space_ref, reach, units, walk_keys(rng_seed, walks),
-        64 * (1 << min(ts.n, 20)))
+        64 * (1 << min(ts.net.n, 20)))
     counts: dict[int, int] = {p.index: 0 for p in phenotypes}
     for x, walks_to_x in ends.items():
         i = 1
@@ -315,5 +317,4 @@ def simulate_phenotype_reachability(
         counts[phenotype_of_attr[attrs[i - k].index]] += walks_to_x
     done = walks - capped
     freqs = {i: (c / done if done else 0.0) for i, c in counts.items()}
-    return SimulationResult(freqs, walks, capped,
-                            {p.index: p.pattern for p in phenotypes})
+    return SimulationResult(freqs, walks, capped)

@@ -321,11 +321,13 @@ def parse_bnet(text: str) -> BooleanNetwork:
 
     `#` starts a comment, blank lines are ignored, and variable order is
     the first-appearance order of targets.  Every referenced variable must
-    also appear as a target.
+    also appear as a target.  A first line `targets, factors` (any case) is
+    BoolNet's header and declares nothing.
     """
     targets: list[str] = []
     raw: list[tuple[str, str, int]] = []
     seen: set[str] = set()
+    first = True
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -334,6 +336,11 @@ def parse_bnet(text: str) -> BooleanNetwork:
             raise BnetError("expected 'target, expression'", lineno)
         target, rhs = line.split(",", 1)
         target = target.strip()
+        header = (first and target.lower() == "targets"
+                  and rhs.strip().lower() == "factors")
+        first = False
+        if header:
+            continue
         if not _IDENT_RE.fullmatch(target):
             raise BnetError(f"invalid target identifier {target!r}", lineno)
         if target in seen:

@@ -31,7 +31,7 @@ def _fmt(x: float) -> str:
     return f"{x:.4f}".rstrip("0").rstrip(".")
 
 
-def _key_label(key: tuple[int, ...]) -> str:
+def key_label(key: tuple[int, ...]) -> str:
     return "{" + ",".join(str(i) for i in key) + "}"
 
 
@@ -51,7 +51,7 @@ def diagram_to_dot(diagram: Diagram) -> str:
     lines = ["digraph diagram {", '  node [shape=box, style="filled"];']
     for i, key in enumerate(keys):
         node = diagram.nodes[key]
-        label = (f"{_key_label(key)}\\n{node.size} states "
+        label = (f"{key_label(key)}\\n{node.size} states "
                  f"({_fmt(node.percent)}%)")
         lines.append(
             f'  {ids[key]} [label="{label}", fillcolor="{_colour(i)}"];')

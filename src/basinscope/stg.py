@@ -28,7 +28,6 @@ class TransitionSystem:
     mode: UpdateMode
     relation: int
     space_ref: int
-    n: int
     loops: int
     _preimage_cache: dict = field(default_factory=dict, repr=False)
 
@@ -120,8 +119,8 @@ class TransitionSystem:
         return self.set_of(self.backward_reach_ref(x.ref))
 
 
-def build(net: BooleanNetwork, mode: UpdateMode = UpdateMode.ASYNC,
-          node_limit: int | None = None) -> TransitionSystem:
+def build(net: BooleanNetwork,
+          mode: UpdateMode = UpdateMode.ASYNC) -> TransitionSystem:
     """Build the symbolic STG for the given update mode.
 
     ASYNC: x -> y iff exactly one variable changes to its update value.
@@ -129,10 +128,11 @@ def build(net: BooleanNetwork, mode: UpdateMode = UpdateMode.ASYNC,
     relation is total on the space: an async steady state, which has no
     variable to flip, and a state stranded by the admissibility
     restriction.  A sync steady state has y = f(x) = x.  The states that
-    self-loop, in either mode, are kept as `loops`.
+    self-loop, in either mode, are kept as `loops`.  The manager takes its
+    node limit from BASINSCOPE_NODE_LIMIT.
     """
     n = net.n
-    m = DdManager(n, node_limit)
+    m = DdManager(n)
     space = (1 if net.admissibility is None
              else m.compile_expr(net.admissibility))
 
@@ -174,7 +174,7 @@ def build(net: BooleanNetwork, mode: UpdateMode = UpdateMode.ASYNC,
     # a sync state has one successor, so its fixed points join them
     loops = m.exists_primed(relation, identity)
 
-    return TransitionSystem(m, net, mode, relation, space, n, loops)
+    return TransitionSystem(m, net, mode, relation, space, loops)
 
 
 def steady_states(ts: TransitionSystem) -> StateSet:

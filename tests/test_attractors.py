@@ -5,9 +5,10 @@ import pytest
 from basinscope.attractors import (
     AttractorError, AttractorKind, attractors, import_attractors,
     load_attractor_seeds, steady_states)
-from basinscope.ctl import EF, accept_ref, atom_states
-from basinscope.model import parse_bnet
+from basinscope.ctl import EF, Atom, accept_ref
+from basinscope.model import detect_van_ham_pairs, parse_bnet
 from basinscope.stg import UpdateMode, build
+from conftest import TOGGLE, VAN_HAM
 from oracle import (
     explicit_stg, random_network, tarjan_sccs, terminal_sccs,
     with_van_ham_pair)
@@ -135,6 +136,26 @@ def test_import_overlapping_seeds_rejected(toggle_ts, seeds, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("text, seed, message", [
+    (TOGGLE, "1x", "bad state seed '1x'"),
+    (TOGGLE, "100", "bad state seed '100'"),
+    (VAN_HAM, "01000", "seed '01000' lies outside the space"),
+    (TOGGLE, "00",
+     "seed '00': SCC is not terminal, escaping transition 00 -> 01"),
+    (TOGGLE, 5, "unsupported seed 5"),
+    (TOGGLE, ["10"], "unsupported seed ['10']"),
+    (TOGGLE, {"zz": 1}, "unknown variable 'zz' in subspace pattern"),
+    (TOGGLE, {"a": 2}, "subspace value for 'a' must be 0 or 1"),
+    (VAN_HAM, {"x_medium": 0, "x_high": 1}, "subspace pattern "
+     "{'x_medium': 0, 'x_high': 1} is empty within the space"),
+])
+def test_import_bad_seed_rejected(text, seed, message):
+    ts = build(detect_van_ham_pairs(parse_bnet(text)))
+    with pytest.raises(AttractorError) as info:
+        import_attractors(ts, [seed])
+    assert str(info.value) == message
+
+
 def test_import_checks_overlap_in_linear_apply_calls(monkeypatch):
     """Disjoint seeds cost a bounded number of apply calls each; comparing
     every pair of 256 seeds would take over 32k."""
@@ -184,5 +205,5 @@ def test_matches_tarjan_oracle_on_random_networks():
         union = ts.empty()
         for a in attrs:
             union = union | a.states
-        reach = ts.set_of(accept_ref(ts, EF(atom_states(union))))
+        reach = ts.set_of(accept_ref(ts, EF(Atom(union))))
         assert reach == ts.space()

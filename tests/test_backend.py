@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import basinscope
+from conftest import TOGGLE
 
 PACKAGE = Path(basinscope.__file__).parent
 
@@ -63,4 +64,19 @@ def test_without_the_c_kernel_the_python_kernel_is_used():
         "sys.modules['basinscope.dd._kernel_c'] = None\n"
         "import basinscope.dd\n"
         "assert basinscope.dd.BACKEND == 'py', basinscope.dd.BACKEND\n",
+        PACKAGE.parent)
+
+
+def test_simulate_leaves_openssl_unloaded(tmp_path):
+    """The walk keys hash with the builtin sha512, also when random has
+    none yet (as on CPython 3.13): hashlib would load OpenSSL."""
+    model = tmp_path / "toggle.bnet"
+    model.write_text(TOGGLE)
+    run_python(
+        "import random, sys\n"
+        "random._sha512 = None\n"
+        "from basinscope.cli import run\n"
+        f"argv = ['simulate', '--bnet', {str(model)!r}, '--markers', 'a']\n"
+        "assert run(argv) == 0\n"
+        "assert '_hashlib' not in sys.modules\n",
         PACKAGE.parent)

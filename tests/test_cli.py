@@ -44,6 +44,38 @@ def test_check_subcommand(toggle_file, capsys):
     assert payload["expression"] == "a & !b"
 
 
+@pytest.mark.parametrize("ctl, formula, count, expression", [
+    ("a | b", "((a) | (b))", 3, "a | b"),
+    ("E[a U b]", "E[(a) U (b)]", 2, "b"),
+    ("A[a U b]", "A[(a) U (b)]", 2, "b"),
+])
+def test_check_renders_the_formula(ctl, formula, count, expression,
+                                   toggle_file, capsys):
+    payload = run_json(capsys, [
+        "check", "--bnet", toggle_file, "--ctl", ctl, "--json", "-"])
+    assert payload == {"formula": formula, "count": count,
+                       "expression": expression, "style": "isop"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "--ctl", "EF(a"], "error: expected ')', got '' at position 4"),
+    (["phenotypes", "--markers", ""],
+     "error: --markers must name at least one variable"),
+    (["simulate", "--markers", "a,zz"], "error: unknown marker 'zz'"),
+])
+def test_bad_formula_or_markers_are_one_line_errors(argv, message,
+                                                    toggle_file, capsys):
+    assert run([argv[0], "--bnet", toggle_file, *argv[1:]]) == 1
+    assert one_line_error(capsys) == message + "\n"
+
+
+def test_boolnet_header_is_skipped(toggle_file, tmp_path, capsys):
+    headed = tmp_path / "headed.bnet"
+    headed.write_text("targets, factors\n" + TOGGLE)
+    assert run_json(capsys, ["basins", "--bnet", str(headed), "--json", "-"]) \
+        == run_json(capsys, ["basins", "--bnet", toggle_file, "--json", "-"])
+
+
 def test_usage_error_exit_code(toggle_file, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["basins", "--bnet", toggle_file, "--update", "sideways"])

@@ -3,10 +3,10 @@ import random
 import pytest
 
 from basinscope.ctl import (
-    AF, AG, EF, Atom, CtlError, Unary, accept, accept_ref, atom_states,
+    AF, AG, EF, AndC, Atom, CtlError, OrC, Unary, accept, accept_ref,
     parse_ctl)
-from basinscope.dd import ExprStyle
-from basinscope.model import eval_expr, render_expr
+from basinscope.dd import ExprStyle, to_expression
+from basinscope.model import Const, NameVar, eval_expr, render_expr
 from basinscope.stg import UpdateMode, build
 from oracle import explicit_stg, random_expr, random_network
 
@@ -20,6 +20,9 @@ def test_parse_basic():
     assert isinstance(f, Unary) and f.op == "EF"
     g = parse_ctl("AG(EF(a))")
     assert g.op == "AG" and g.child.op == "EF"
+    h = parse_ctl("a | 0 & 1")
+    assert h == OrC(Atom(NameVar("a")),
+                    AndC(Atom(Const(0)), Atom(Const(1))))
 
 
 def test_parse_until():
@@ -40,40 +43,41 @@ def test_undeclared_atom(toggle_ts):
 
 
 def test_toggle_ef(toggle_ts):
-    target = atom_states(toggle_ts.state_set(["10"]))
+    target = Atom(toggle_ts.state_set(["10"]))
     assert states_of(toggle_ts, EF(target)) == {"00", "11", "10"}
 
 
 def test_toggle_ag_ef(toggle_ts):
-    target = atom_states(toggle_ts.state_set(["10"]))
+    target = Atom(toggle_ts.state_set(["10"]))
     assert states_of(toggle_ts, AG(EF(target))) == {"10"}
 
 
 def test_toggle_af(toggle_ts):
-    target = atom_states(toggle_ts.state_set(["01", "10"]))
+    target = Atom(toggle_ts.state_set(["01", "10"]))
     assert states_of(toggle_ts, AF(target)) == {"00", "01", "10", "11"}
 
 
 def test_accept_result_payload(toggle_ts):
-    res = accept(toggle_ts, parse_ctl("AG(EF(a & !b))"))
-    assert res.count == res.states.count() == 1
-    expr = res.expression
+    states = accept(toggle_ts, parse_ctl("AG(EF(a & !b))"))
+    assert states.count() == 1
+    expr = to_expression(toggle_ts.manager, states.ref)
     names = toggle_ts.net.variables.names
     assert render_expr(expr, names) == "a & !b"
 
 
 def test_accept_styles(toggle_ts):
+    states = accept(toggle_ts, parse_ctl("EF(a & !b)"))
     for style in ExprStyle:
-        res = accept(toggle_ts, parse_ctl("EF(a & !b)"), style)
+        expr = to_expression(toggle_ts.manager, states.ref, style)
         got = {s for s in ("00", "01", "10", "11")
-               if eval_expr(res.expression, [int(c) for c in s])}
-        assert got == set(res.states.states())
+               if eval_expr(expr, [int(c) for c in s])}
+        assert got == set(states.states())
 
 
 def test_distributive_law_ef(toggle_ts):
-    a = atom_states(toggle_ts.state_set(["01"]))
-    b = atom_states(toggle_ts.state_set(["10"]))
-    both = atom_states(toggle_ts.state_set(["01", "10"]))
+    a = Atom(toggle_ts.state_set(["01"]))
+    b = Atom(toggle_ts.state_set(["10"]))
+    both = Atom(toggle_ts.state_set(["01", "10"]))
     assert (states_of(toggle_ts, EF(both))
             == states_of(toggle_ts, EF(a)) | states_of(toggle_ts, EF(b)))
 
@@ -85,7 +89,7 @@ def test_ag_ef_contained_in_ef():
         ts = build(net)
         states = ts.space().states()
         xs = rng.sample(states, 3)
-        x = atom_states(ts.state_set(xs))
+        x = Atom(ts.state_set(xs))
         assert (ts.set_of(accept_ref(ts, AG(EF(x))))
                 <= ts.set_of(accept_ref(ts, EF(x))))
 

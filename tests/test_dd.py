@@ -24,12 +24,12 @@ def test_apply_and():
 def test_excluded_middle():
     m = DdManager(3)
     f = m.and_(m.var(0), m.not_(m.var(2)))
-    assert m.or_(f, m.not_(f)) == m.TRUE
+    assert m.or_(f, m.not_(f)) == 1
 
 
 def test_diff_true_var():
     m = DdManager(1)
-    f = m.diff(m.TRUE, m.var(0))
+    f = m.diff(1, m.var(0))
     assert f == m.not_(m.var(0))
 
 
@@ -38,7 +38,7 @@ def test_exists():
     ab = m.and_(m.var(0), m.var(1))
     assert m.exists({2}, ab) == m.var(0)
     contradiction = m.and_(m.var(0), m.not_(m.var(0)))
-    assert m.exists({0, 2}, contradiction) == m.FALSE
+    assert m.exists({0, 2}, contradiction) == 0
 
 
 def test_exists_of_product_matches_exists_of_conjunction():
@@ -67,7 +67,7 @@ def test_rename_mixed_polarity_rejected():
 
 def test_count_states():
     m = DdManager(2)
-    assert m.count_states(m.TRUE) == 4
+    assert m.count_states(1) == 4
     assert m.count_states(m.and_(m.var(0), m.var(1))) == 1
     # one excluded assignment: !(high & !medium) over (medium, high)
     f = m.not_(m.and_(m.var(1), m.not_(m.var(0))))
@@ -85,9 +85,9 @@ def test_pick_min_state():
     f = m.from_states(["10", "01"])
     assert m.pick_min_state(f) == "01"
     m3 = DdManager(3)
-    assert m3.pick_min_state(m3.TRUE) == "000"
+    assert m3.pick_min_state(1) == "000"
     with pytest.raises(ValueError, match="empty"):
-        m.pick_min_state(m.FALSE)
+        m.pick_min_state(0)
 
 
 def test_isop_two_cube_example():
@@ -109,14 +109,14 @@ def test_dnf_states_single():
 
 def test_factored_true():
     m = DdManager(2)
-    expr = to_expression(m, m.TRUE, ExprStyle.FACTORED)
+    expr = to_expression(m, 1, ExprStyle.FACTORED)
     assert eval_expr(expr, (0, 0)) == 1 and eval_expr(expr, (1, 1)) == 1
 
 
 def test_dnf_limit():
-    m = DdManager(13)  # TRUE has 8,192 states, above the limit of 4,096
+    m = DdManager(13)  # 1 (true) has 8,192 states, above the limit of 4,096
     with pytest.raises(ValueError, match="limit 4096"):
-        to_expression(m, m.TRUE, ExprStyle.DNF_STATES)
+        to_expression(m, 1, ExprStyle.DNF_STATES)
 
 
 @settings(max_examples=60, deadline=None)

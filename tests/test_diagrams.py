@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -223,6 +224,17 @@ def test_walk_keys_draw_what_the_string_seeds_draw(seed):
         theirs = random.Random(f"{seed}:{w}")
         assert ([ours.getrandbits(32) for _ in range(32)]
                 == [theirs.getrandbits(32) for _ in range(32)])
+
+
+def test_walk_keys_need_no_digest_from_random(monkeypatch):
+    """CPython 3.13 leaves random._sha512 unset until a string seed is
+    used; the keys come from the same digest without it."""
+    monkeypatch.setattr(random, "_sha512", None, raising=False)
+    expected = []
+    for w in range(20):
+        s = f"5:{w}".encode()
+        expected.append((s + hashlib.sha512(s).digest())[::-1])
+    assert list(walk_keys(5, 20)) == expected
 
 
 class RecordingKernel:

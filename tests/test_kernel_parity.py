@@ -415,8 +415,10 @@ def analyse(kernel_cls, monkeypatch, net, node_limit=None):
         return kernels[-1]
 
     monkeypatch.setattr(_select, "Kernel", make)
+    if node_limit is not None:
+        monkeypatch.setenv("BASINSCOPE_NODE_LIMIT", str(node_limit))
     try:
-        ts = build(net, node_limit=node_limit)
+        ts = build(net)
         sizes = [(t.attractor.representative, t.weak_info.size,
                   t.strong_info.size, t.cycle_free_info.size)
                  for t in basin_triples(ts, attractors(ts))]

@@ -33,6 +33,18 @@ def test_comments_and_blank_lines():
     assert net.updates == (Const(1),)
 
 
+@pytest.mark.parametrize("header", [
+    "targets, factors", "Targets,Factors", "TARGETS , FACTORS"])
+def test_boolnet_header_declares_nothing(header):
+    plain = parse_bnet("a, !b\nb, !a\n")
+    assert parse_bnet(f"# BoolNet\n\n{header}\na, !b\nb, !a\n") == plain
+
+
+def test_boolnet_header_only_on_the_first_line():
+    with pytest.raises(BnetError, match="line 2: undeclared variable 'factors'"):
+        parse_bnet("a, a\ntargets, factors\n")
+
+
 def test_precedence_not_and_or():
     net = parse_bnet("a, a\nb, a\nc, !a & b | c")
     assert net.updates[2] == Or((And((Not(Var(0)), Var(1))), Var(2)))
@@ -74,10 +86,12 @@ def test_van_ham_two_pairs_conjoined():
 
 
 def test_van_ham_idempotent():
-    net = parse_bnet("x_medium, x_medium\nx_high, x_high")
-    once = detect_van_ham_pairs(net)
-    twice = detect_van_ham_pairs(once)
-    assert once.admissibility == twice.admissibility
+    for text in ("x_medium, x_medium\nx_high, x_high",
+                 "x_medium, x_medium\nx_high, x_high\n"
+                 "y_medium, y_medium\ny_high, y_high"):
+        once = detect_van_ham_pairs(parse_bnet(text))
+        twice = detect_van_ham_pairs(once)
+        assert once.admissibility == twice.admissibility
 
 
 def test_van_ham_requires_both_halves():

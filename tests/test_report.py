@@ -7,9 +7,11 @@ from basinscope import report
 from basinscope.attractors import attractors
 from basinscope.basins import basin_triples
 from basinscope.diagrams import commitment_diagram, commitment_sets
+from basinscope.model import parse_bnet
 from basinscope.report import (
     basin_barplot_svg, basin_piechart_svg, diagram_to_dot,
     pie_slices, small_stg_to_dot)
+from basinscope.stg import build
 
 _DOT_NODE = re.compile(r"^\s*\w+\s*\[[^\]]*\];$")
 _DOT_EDGE = re.compile(r"^\s*\w+\s*->\s*\w+(\s*\[[^\]]*\])?;$")
@@ -112,3 +114,9 @@ def test_percent_vs_absolute_rendering():
     assert "A1: 12.5%<" in svg
     svg_abs = basin_piechart_svg([("A1", 256), ("A2", 256)], 1024)
     assert "A1: 256<" in svg_abs and "%" not in svg_abs
+    # the toggle with nine variables that decay to 0: 2,048 states, and each
+    # weak basin holds three quarters of them
+    ts = build(parse_bnet(
+        "a, !b\nb, !a\n" + "".join(f"v{i}, 0\n" for i in range(9))))
+    bars = basin_barplot_svg(basin_triples(ts, attractors(ts)), 2048)
+    assert bars.count(">75%</text>") == 2
