@@ -68,7 +68,7 @@ def _sync_cycles(ts: TransitionSystem) -> list[tuple[int, bool]]:
                         ts.loops)
     while recurrent != 0:
         cycle = ts.forward_reach_ref(
-            m.from_states([m.pick_min_state(recurrent)]))
+            m.cube(m.kernel.pick_min_state(recurrent)))
         found.append((cycle, False))
         recurrent = m.apply(OP_DIFF, recurrent, cycle)
     return found
@@ -89,7 +89,7 @@ def attractors(ts: TransitionSystem) -> list[Attractor]:
     `_sync_cycles` for the longer cycles instead.
     """
     m = ts.manager
-    found = [(m.from_states([s]), False) for s in m.iter_states(ts.loops)]
+    found = [(m.cube(x), False) for x in m.kernel.states(ts.loops)]
     if ts.mode is UpdateMode.SYNC:
         return _numbered(ts, found + _sync_cycles(ts))
     candidates = m.apply(OP_DIFF, ts.space_ref, ts.loops)
@@ -103,7 +103,7 @@ def attractors(ts: TransitionSystem) -> list[Attractor]:
     while candidates != 0:
         # preferred is a subset of candidates
         pool = preferred if preferred != 0 else candidates
-        fwd, bwd = _scc(ts, m.from_states([m.pick_min_state(pool)]))
+        fwd, bwd = _scc(ts, m.cube(m.kernel.pick_min_state(pool)))
         beyond = m.apply(OP_DIFF, fwd, bwd)
         if beyond == 0:
             found.append((fwd, False))
@@ -148,13 +148,13 @@ def import_attractors(ts: TransitionSystem, seeds) -> list[Attractor]:
             fwd, bwd = _scc(ts, pivot)
             if m.apply(OP_DIFF, fwd, bwd) != 0:
                 scc = m.apply(OP_AND, fwd, bwd)
-                y = m.pick_min_state(
+                y = m.kernel.pick_min_state(
                     m.apply(OP_DIFF, ts.image_ref(scc), scc))
-                src = m.apply(OP_AND, ts.preimage_ref(m.from_states([y])), scc)
+                src = m.apply(OP_AND, ts.preimage_ref(m.cube(y)), scc)
                 x = m.pick_min_state(src)
                 raise AttractorError(
                     f"seed {seed!r}: SCC is not terminal, "
-                    f"escaping transition {x} -> {y}")
+                    f"escaping transition {x} -> {m.bits(y)}")
             entries.append((fwd, False))
         elif isinstance(seed, dict):
             ref = _subspace_ref(ts, seed)

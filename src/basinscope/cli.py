@@ -12,7 +12,7 @@ from . import diagrams as diag_mod
 from . import report as report_mod
 from .attractors import (
     Attractor, attractors, import_attractors, load_attractor_seeds)
-from .ctl import CtlError, accept, parse_ctl, render_ctl
+from .ctl import accept, parse_ctl, render_ctl
 from .dd import ExprStyle, NodeLimitError, to_expression
 from .model import BnetError, detect_van_ham_pairs, parse_bnet, render_expr
 from .stg import UpdateMode, build
@@ -60,11 +60,10 @@ def _get_attractors(ts, args):
     returns (attractors, partial flag)."""
     if args.attractor_file:
         try:
-            seeds = load_attractor_seeds(
-                Path(args.attractor_file).read_text())
-            return import_attractors(ts, seeds), True
-        except (OSError, ValueError) as exc:
+            text = Path(args.attractor_file).read_text()
+        except OSError as exc:
             raise DomainError(str(exc)) from exc
+        return import_attractors(ts, load_attractor_seeds(text)), True
     return attractors(ts), False
 
 
@@ -184,11 +183,8 @@ def cmd_phenotypes(args) -> int:
 
 def cmd_check(args) -> int:
     ts = _build_ts(args)
-    try:
-        formula = parse_ctl(args.ctl)
-        states = accept(ts, formula)
-    except CtlError as exc:
-        raise DomainError(str(exc)) from exc
+    formula = parse_ctl(args.ctl)
+    states = accept(ts, formula)
     names = ts.net.variables.names
     style = ExprStyle(args.expression_style)
     payload = {
@@ -297,7 +293,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, BnetError, CtlError, ValueError) as exc:
+    except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NodeLimitError as exc:

@@ -296,8 +296,9 @@ static int32_t shift(Kernel *k, int delta, int32_t f)
 }
 
 /* -- state-level walks over unprimed diagrams ----------------------------- *
- * A state is a bit string over the n unprimed variables; the terminals'
- * sentinel level 2n stands for variable index n. */
+ * A state of the n unprimed variables crosses the API packed into an int
+ * (see state_words); the terminals' sentinel level 2n stands for variable
+ * index n. */
 
 static int check_unprimed(Kernel *k, int32_t f)
 {
@@ -307,77 +308,24 @@ static int check_unprimed(Kernel *k, int32_t f)
     return -1;
 }
 
-/* per-walk memo: open addressing on node ids >= 2 (0 marks a free slot);
- * each value is a reference owned by the memo */
-typedef struct {
-    int32_t *keys;
-    PyObject **vals;
-    uint32_t mask, used;
-} Memo;
-
-static int memo_init(Memo *m, uint32_t slots)
-{
-    m->keys = calloc(slots, sizeof(int32_t));
-    m->vals = malloc(slots * sizeof(PyObject *));
-    m->mask = slots - 1;
-    m->used = 0;
-    if (m->keys != NULL && m->vals != NULL)
-        return 0;
-    free(m->keys);
-    free(m->vals);
-    m->keys = NULL;
-    m->vals = NULL;
-    PyErr_NoMemory();
-    return -1;
-}
-
-static uint32_t memo_slot(const Memo *m, int32_t key)
-{
-    uint32_t h = hash3((uint32_t)key, 0, 0) & m->mask;
-    while (m->keys[h] != 0 && m->keys[h] != key)
-        h = (h + 1) & m->mask;
-    return h;
-}
-
-/* insert a key that is not present; doubles the table at load 1/2 */
-static int memo_put(Memo *m, int32_t key, PyObject *val)
-{
-    if (2 * (m->used + 1) > m->mask + 1) {
-        Memo big;
-        if (memo_init(&big, 2 * (m->mask + 1)) < 0)
-            return -1;
-        for (uint32_t i = 0; i <= m->mask; i++)
-            if (m->keys[i] != 0) {
-                uint32_t h = memo_slot(&big, m->keys[i]);
-                big.keys[h] = m->keys[i];
-                big.vals[h] = m->vals[i];
-            }
-        big.used = m->used;
-        free(m->keys);
-        free(m->vals);
-        *m = big;
-    }
-    uint32_t h = memo_slot(m, key);
-    m->keys[h] = key;
-    m->vals[h] = val;
-    m->used++;
-    return 0;
-}
-
 /* count of g over the variables from its own index on, as a new
- * reference; the memo holds one more */
-static PyObject *count(Kernel *k, Memo *memo, int32_t g)
+ * reference; memo maps node ids to their counts, as in _kernel_py */
+static PyObject *count(Kernel *k, PyObject *memo, int32_t g)
 {
     if (g < 2)
         return PyLong_FromLong(g);
-    uint32_t h = memo_slot(memo, g);
-    if (memo->keys[h] != 0) {
-        Py_INCREF(memo->vals[h]);
-        return memo->vals[h];
+    PyObject *key = PyLong_FromLong(g);
+    if (key == NULL)
+        return NULL;
+    PyObject *sum = PyDict_GetItemWithError(memo, key);
+    if (sum != NULL || PyErr_Occurred()) {
+        Py_XINCREF(sum);
+        Py_DECREF(key);
+        return sum;
     }
     Node nd = k->nodes[g];
     int32_t kids[2] = {nd.low, nd.high};
-    PyObject *sum = PyLong_FromLong(0);
+    sum = PyLong_FromLong(0);
     for (int b = 0; b < 2 && sum != NULL; b++) {
         /* shift the child's count into g's variable range */
         long gap = (k->nodes[kids[b]].level >> 1) - (nd.level >> 1) - 1;
@@ -391,31 +339,21 @@ static PyObject *count(Kernel *k, Memo *memo, int32_t g)
         Py_DECREF(sum);
         sum = next;
     }
-    if (sum == NULL)
-        return NULL;
-    if (memo_put(memo, g, sum) < 0) {
-        Py_DECREF(sum);
-        return NULL;
-    }
-    Py_INCREF(sum);
+    if (sum != NULL && PyDict_SetItem(memo, key, sum) < 0)
+        Py_CLEAR(sum);
+    Py_DECREF(key);
     return sum;
 }
 
 static PyObject *count_states(Kernel *k, int32_t f)
 {
-    Memo memo;
-    if (memo_init(&memo, 64) < 0)
-        return NULL;
-    PyObject *c = count(k, &memo, f);
+    PyObject *memo = PyDict_New();
+    PyObject *c = memo == NULL ? NULL : count(k, memo, f);
     PyObject *by = c == NULL ? NULL : PyLong_FromLong(k->nodes[f].level >> 1);
     PyObject *res = by == NULL ? NULL : PyNumber_Lshift(c, by);
+    Py_XDECREF(memo);
     Py_XDECREF(c);
     Py_XDECREF(by);
-    for (uint32_t i = 0; i <= memo.mask; i++)
-        if (memo.keys[i] != 0)
-            Py_DECREF(memo.vals[i]);
-    free(memo.keys);
-    free(memo.vals);
     return res;
 }
 
@@ -712,20 +650,22 @@ static PyObject *Kernel_pick_min_state(Kernel *self, PyObject *arg)
     }
     if (check_unprimed(self, f) < 0)
         return NULL;
-    PyObject *state = PyUnicode_New(self->n, 127);
-    if (state == NULL)
-        return NULL;
-    Py_UCS1 *bits = PyUnicode_1BYTE_DATA(state);
-    memset(bits, '0', (size_t)self->n);
+    size_t words = state_words(self);
+    uint64_t *x = calloc(words + 1, sizeof(uint64_t));
+    if (x == NULL)
+        return PyErr_NoMemory();
     while (f >= 2) {
         Node nd = self->nodes[f];
         if (nd.low != 0) {
             f = nd.low;
         } else {
-            bits[nd.level >> 1] = '1';
+            int32_t v = nd.level >> 1;
+            x[v >> 6] |= 1ULL << (v & 63);
             f = nd.high;
         }
     }
+    PyObject *state = pack_state(x, words);
+    free(x);
     return state;
 }
 
@@ -861,6 +801,24 @@ static int successors_of(const Kernel *k, int32_t r, const uint64_t *x,
     return 0;
 }
 
+/* the packed states that successors_of lists for r and x, as a list */
+static PyObject *walk_list(const Kernel *k, int32_t r, const uint64_t *x)
+{
+    PyObject *out = NULL;
+    Succ s;
+    if (succ_init(k, &s) == 0 && successors_of(k, r, x, &s) == 0)
+        out = PyList_New((Py_ssize_t)s.len);
+    for (size_t i = 0; out != NULL && i < s.len; i++) {
+        PyObject *state = pack_state(s.w + i * s.words, s.words);
+        if (state == NULL)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(out, (Py_ssize_t)i, state);
+    }
+    succ_free(&s);
+    return out;
+}
+
 static PyObject *Kernel_successors(Kernel *self, PyObject *const *args,
                                    Py_ssize_t nargs)
 {
@@ -868,29 +826,12 @@ static PyObject *Kernel_successors(Kernel *self, PyObject *const *args,
     if (Kernel_ready(self) < 0 || check_nargs("successors", nargs, 2) < 0
         || arg_node(self, args[0], &r) < 0)
         return NULL;
-    size_t words = state_words(self);
-    PyObject *out = NULL;
-    Succ succ;
-    uint64_t *x = malloc((words + 1) * sizeof(uint64_t));
-    if (x == NULL) {
-        PyErr_NoMemory();
-        return NULL;
-    }
-    if (succ_init(self, &succ) < 0 || arg_state(self, args[1], x) < 0
-        || successors_of(self, r, x, &succ) < 0
-        || (out = PyList_New((Py_ssize_t)succ.len)) == NULL)
-        goto done;
-    for (size_t i = 0; i < succ.len; i++) {
-        PyObject *state = pack_state(succ.w + i * words, words);
-        if (state == NULL) {
-            Py_CLEAR(out);
-            break;
-        }
-        PyList_SET_ITEM(out, (Py_ssize_t)i, state);
-    }
-done:
+    uint64_t *x = malloc((state_words(self) + 1) * sizeof(uint64_t));
+    if (x == NULL)
+        return PyErr_NoMemory();
+    PyObject *out = arg_state(self, args[1], x) < 0 ? NULL
+                                                    : walk_list(self, r, x);
     free(x);
-    succ_free(&succ);
     return out;
 }
 
@@ -900,26 +841,7 @@ static PyObject *Kernel_states(Kernel *self, PyObject *arg)
     if (Kernel_ready(self) < 0 || arg_node(self, arg, &f) < 0
         || check_unprimed(self, f) < 0)
         return NULL;
-    PyObject *out = NULL;
-    Succ succ;
-    if (succ_init(self, &succ) < 0 || successors_of(self, f, NULL, &succ) < 0
-        || (out = PyList_New((Py_ssize_t)succ.len)) == NULL)
-        goto done;
-    for (size_t j = 0; j < succ.len; j++) {
-        PyObject *state = PyUnicode_New(self->n, 127);
-        if (state == NULL) {
-            Py_CLEAR(out);
-            break;
-        }
-        Py_UCS1 *bits = PyUnicode_1BYTE_DATA(state);
-        const uint64_t *y = succ.w + j * succ.words;
-        for (int i = 0; i < self->n; i++)
-            bits[i] = '0' + ((y[i >> 6] >> (i & 63)) & 1);
-        PyList_SET_ITEM(out, (Py_ssize_t)j, state);
-    }
-done:
-    succ_free(&succ);
-    return out;
+    return walk_list(self, f, NULL);
 }
 
 /* -- random walks --------------------------------------------------------- *
@@ -1207,9 +1129,11 @@ static PyMethodDef Kernel_methods[] = {
     {"count_states", (PyCFunction)Kernel_count_states, METH_O,
      "count_states(f): number of satisfying states of an unprimed diagram."},
     {"pick_min_state", (PyCFunction)Kernel_pick_min_state, METH_O,
-     "pick_min_state(f): lexicographically smallest satisfying state."},
+     "pick_min_state(f): the packed state of f whose bit string is "
+     "lexicographically smallest."},
     {"states", (PyCFunction)Kernel_states, METH_O,
-     "states(f): satisfying states as bit strings, in lexicographic order."},
+     "states(f): the packed states of f, in lexicographic order of their "
+     "bit strings."},
     {"contains", (PyCFunction)(void (*)(void))Kernel_contains, METH_FASTCALL,
      "contains(f, x): whether the packed state x (bit i = variable i) is in "
      "the unprimed diagram f."},

@@ -200,7 +200,7 @@ class Kernel:
         self._cache[key] = res
         return res
 
-    # -- state-level walks over unprimed diagrams (iterative) --------------
+    # -- iterative state walks over packed states (bit i holds variable i)
 
     def _check_unprimed(self, f: int):
         if self._primed[f]:
@@ -230,27 +230,26 @@ class Kernel:
                 stack.append(hi)
         return memo[f] << (level[f] >> 1)
 
-    def pick_min_state(self, f: int) -> str:
-        """Lexicographically smallest satisfying state (0 < 1)."""
+    def pick_min_state(self, f: int) -> int:
+        """The packed state of f whose bit string is lexicographically
+        smallest (0 < 1)."""
         if f == 0:
             raise ValueError("cannot pick a state from the empty set")
         self._check_unprimed(f)
-        bits = ["0"] * self.n
+        x = 0
         while f >= 2:
             if self._low[f] != 0:
                 f = self._low[f]
             else:
-                bits[self._level[f] >> 1] = "1"
+                x |= 1 << (self._level[f] >> 1)
                 f = self._high[f]
-        return "".join(bits)
+        return x
 
-    def states(self, f: int) -> list[str]:
-        """Satisfying states as bit strings, in lexicographic order."""
+    def states(self, f: int) -> list[int]:
+        """The packed states of f, in lexicographic order of their bit
+        strings."""
         self._check_unprimed(f)
-        # bin(y | 1 << n) is "0b1" followed by y's n bits, variable 0 last
-        return [bin(y | 1 << self.n)[:2:-1] for y in self._walk(f, None)]
-
-    # -- walks over packed states (bit i holds variable i) ------------------
+        return self._walk(f, None)
 
     def _check_state(self, x: int):
         if x < 0 or x >> self.n:

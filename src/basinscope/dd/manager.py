@@ -19,12 +19,14 @@ def node_limit_from_env() -> int:
     raw = os.environ.get("BASINSCOPE_NODE_LIMIT")
     if raw is None:
         return DEFAULT_NODE_LIMIT
-    message = f"BASINSCOPE_NODE_LIMIT must be a positive integer, got {raw!r}"
+    # the C kernel keeps the limit in a signed 64-bit integer
+    message = ("BASINSCOPE_NODE_LIMIT must be a positive integer below 2^63, "
+               f"got {raw!r}")
     try:
         limit = int(raw)
     except ValueError:
         raise ValueError(message) from None
-    if limit <= 0:
+    if not 0 < limit < 1 << 63:
         raise ValueError(message)
     return limit
 
@@ -67,12 +69,13 @@ class DdManager:
             return acc
         raise ValueError(f"cannot compile {expr!r}")
 
-    def cube_from_state(self, bits) -> int:
-        """Diagram of the single state given as a bit sequence."""
+    def cube(self, x: int) -> int:
+        """Diagram of the single state x, packed into an int whose bit i
+        holds variable i."""
         acc = 1
         k = self.kernel
         for i in reversed(range(self.n)):
-            if bits[i]:
+            if (x >> i) & 1:
                 acc = k.mk(2 * i, 0, acc)
             else:
                 acc = k.mk(2 * i, acc, 0)
@@ -82,8 +85,7 @@ class DdManager:
         """Diagram of a set of states given as bit strings."""
         acc = 0
         for s in states:
-            acc = self.kernel.apply(OP_OR, acc, self.cube_from_state(
-                [int(c) for c in s]))
+            acc = self.kernel.apply(OP_OR, acc, self.cube(self.packed(s)))
         return acc
 
     # -- Boolean operations ------------------------------------------------
@@ -152,23 +154,33 @@ class DdManager:
             raise ValueError("diagram references primed slots")
 
     # -- state-level operations (walked by the kernel) ---------------------
+    # The kernel takes and returns packed states; the bit strings of the
+    # string API are made here and nowhere else.
 
     def count_states(self, f: int) -> int:
         """Number of satisfying states over the n unprimed model variables."""
         return self.kernel.count_states(f)
 
+    def bits(self, x: int) -> str:
+        """The bit string of the packed state x: variable i is character i."""
+        # bin(x | 1 << n) is "0b1" followed by x's n bits, variable 0 last
+        return bin(x | 1 << self.n)[:2:-1]
+
+    def packed(self, state: str) -> int:
+        """The bit string of a state packed into an int: character i is bit
+        i."""
+        if len(state) != self.n or state.strip("01"):
+            raise ValueError(f"bad state {state!r} for {self.n} variables")
+        return int(state[::-1], 2)
+
     def pick_min_state(self, f: int) -> str:
         """Lexicographically smallest satisfying state (0 < 1)."""
-        return self.kernel.pick_min_state(f)
-
-    def eval_state(self, f: int, bits) -> bool:
-        """Membership test of a concrete state (unprimed diagram)."""
-        return self.kernel.contains(f, sum(b << i for i, b in enumerate(bits)))
+        return self.bits(self.kernel.pick_min_state(f))
 
     def iter_states(self, f: int):
         """Iterate over the satisfying states as bit strings, in
         lexicographic order."""
-        return iter(self.kernel.states(f))
+        return map(self.bits, self.kernel.states(f))
 
 
 class StateSet:
@@ -218,7 +230,7 @@ class StateSet:
         return list(self.manager.iter_states(self.ref))
 
     def contains(self, state: str) -> bool:
-        return bool(self.manager.eval_state(self.ref, [int(c) for c in state]))
+        return self.manager.kernel.contains(self.ref, self.manager.packed(state))
 
     def __repr__(self) -> str:
         return f"StateSet(count={self.count()})"

@@ -81,9 +81,11 @@ def small_stg_to_dot(ts: TransitionSystem, colouring: dict,
     block_keys = sorted(set(colouring.values()), key=key_order)
     colour_of = {key: _colour(i) for i, key in enumerate(block_keys)}
     attractor_states = attractor_states or set()
-    states = ts.space().states()
+    m = ts.manager
+    # the packed states (bit i holds variable i) with their bit strings
+    label = {x: m.bits(x) for x in m.kernel.states(ts.space_ref)}
     lines = ["digraph stg {", '  node [shape=circle, style="filled"];']
-    for s in states:
+    for s in label.values():
         attrs = [f'label="{s}"']
         key = colouring.get(s)
         if key is not None:
@@ -93,13 +95,11 @@ def small_stg_to_dot(ts: TransitionSystem, colouring: dict,
         if s in attractor_states:
             attrs.append("peripheries=2")
         lines.append(f'  s{s} [{", ".join(attrs)}];')
-    # bit i of a packed state is variable i, the i-th character of s
-    packed = {int(s[::-1], 2): s for s in states}
-    for x, s in packed.items():
+    for x, s in label.items():
         # successors come in the order of their bit strings
         for y in ts.successors(x):
             if y != x:
-                lines.append(f"  s{s} -> s{packed[y]};")
+                lines.append(f"  s{s} -> s{label[y]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -32,6 +32,9 @@ def kernel_c(tmp_path_factory):
     cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
     if shutil.which(cc) is None:
         pytest.skip(f"no C compiler ({cc}) to build the C kernel")
+    # Python 3.12+ no longer bundles setuptools
+    if importlib.util.find_spec("setuptools") is None:
+        pytest.skip("no setuptools to build the C kernel")
     from setuptools import Distribution, Extension
 
     out = tmp_path_factory.mktemp("kernel_c")

@@ -19,15 +19,19 @@ from conftest import TOGGLE
 PACKAGE = Path(basinscope.__file__).parent
 
 
-def run_python(code, path):
+def run_python(code, path, backend=None, returncode=0):
     """Run code in a fresh interpreter that imports basinscope from path,
-    with no backend forced."""
+    with BASINSCOPE_DD_BACKEND set to backend (unset for None); returns the
+    finished process."""
     env = {k: v for k, v in os.environ.items()
            if k not in ("BASINSCOPE_DD_BACKEND", "PYTHONPATH")}
     env["PYTHONPATH"] = str(path)
+    if backend is not None:
+        env["BASINSCOPE_DD_BACKEND"] = backend
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == returncode, proc.stderr
+    return proc
 
 
 @pytest.fixture
@@ -65,6 +69,31 @@ def test_without_the_c_kernel_the_python_kernel_is_used():
         "import basinscope.dd\n"
         "assert basinscope.dd.BACKEND == 'py', basinscope.dd.BACKEND\n",
         PACKAGE.parent)
+
+
+def test_forced_c_kernel_must_load():
+    """BASINSCOPE_DD_BACKEND=c without the C kernel fails at import, so
+    that a run meant for the C kernel never falls back."""
+    proc = run_python(
+        "import sys\n"
+        "sys.modules['basinscope.dd._kernel_c'] = None\n"
+        "import basinscope.dd\n",
+        PACKAGE.parent, backend="c", returncode=1)
+    assert "import of basinscope.dd._kernel_c halted" in proc.stderr
+
+
+def test_unknown_backend_is_one_line_error(tmp_path):
+    """Any other value ends the CLI with one error line and exit code 1,
+    as a bad BASINSCOPE_NODE_LIMIT does."""
+    model = tmp_path / "toggle.bnet"
+    model.write_text(TOGGLE)
+    proc = run_python(
+        "import sys\n"
+        "from basinscope.cli import run\n"
+        f"sys.exit(run(['attractors', '--bnet', {str(model)!r}]))\n",
+        PACKAGE.parent, backend="x", returncode=1)
+    assert proc.stderr == \
+        "error: BASINSCOPE_DD_BACKEND must be 'py' or 'c', got 'x'\n"
 
 
 def test_simulate_leaves_openssl_unloaded(tmp_path):

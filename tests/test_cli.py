@@ -348,7 +348,8 @@ def test_node_limit_is_one_line_error(chain_file, monkeypatch, capsys):
     assert "node limit 4" in err and "BASINSCOPE_NODE_LIMIT" in err
 
 
-@pytest.mark.parametrize("value", ["abc", "0"])
+@pytest.mark.parametrize("value", [
+    "abc", "0", "9223372036854775808", "99999999999999999999"])
 def test_bad_node_limit_names_variable(value, toggle_file, monkeypatch,
                                        capsys):
     monkeypatch.setenv("BASINSCOPE_NODE_LIMIT", value)
@@ -356,6 +357,12 @@ def test_bad_node_limit_names_variable(value, toggle_file, monkeypatch,
     err = one_line_error(capsys)
     assert "BASINSCOPE_NODE_LIMIT" in err and repr(value) in err
     assert "invalid literal" not in err
+
+
+def test_largest_node_limit_is_accepted(toggle_file, monkeypatch, capsys):
+    monkeypatch.setenv("BASINSCOPE_NODE_LIMIT", str((1 << 63) - 1))
+    assert run_json(capsys, ["attractors", "--bnet", toggle_file,
+                             "--json", "-"])["space_size"] == 4
 
 
 @pytest.mark.parametrize("exc, words", [

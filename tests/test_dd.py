@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from basinscope.dd import (
-    OP_AND, OP_DIFF, OP_OR, OP_XOR, DdManager, ExprStyle, isop_cover,
-    to_expression)
+    OP_AND, OP_DIFF, OP_OR, OP_XOR, DdManager, ExprStyle, StateSet,
+    isop_cover, to_expression)
 from basinscope.model import eval_expr
 from oracle import random_expr
 
 
-def truth_table(m, f, n):
-    return tuple(m.eval_state(f, bits) for bits in product((0, 1), repeat=n))
+def contains(m, f, bits):
+    """Whether the state given as a bit sequence lies in f."""
+    return m.kernel.contains(f, sum(b << i for i, b in enumerate(bits)))
 
 
 def test_apply_and():
@@ -90,6 +91,19 @@ def test_pick_min_state():
         m.pick_min_state(0)
 
 
+def test_state_strings_round_trip():
+    m = DdManager(3)
+    assert [m.packed(m.bits(x)) for x in range(8)] == list(range(8))
+    assert m.bits(1) == "100" and m.packed("011") == 6
+    f = m.from_states(["011"])
+    assert f == m.cube(6) and StateSet(m, f).contains("011")
+    for bad in ("01", "0111", "012", " 01", "0_1"):
+        with pytest.raises(ValueError, match="bad state"):
+            m.from_states([bad])
+        with pytest.raises(ValueError, match="bad state"):
+            StateSet(m, f).contains(bad)
+
+
 def test_isop_two_cube_example():
     m = DdManager(2)
     f = m.from_states(["00", "01", "11"])
@@ -97,7 +111,7 @@ def test_isop_two_cube_example():
     assert len(cover) == 2
     expr = to_expression(m, f, ExprStyle.ISOP)
     for bits in product((0, 1), repeat=2):
-        assert eval_expr(expr, bits) == m.eval_state(f, bits)
+        assert eval_expr(expr, bits) == contains(m, f, bits)
 
 
 def test_dnf_states_single():
@@ -151,7 +165,7 @@ def test_expression_styles_reproduce_set(seed, n):
     for style in ExprStyle:
         expr = to_expression(m, f, style)
         for bits in product((0, 1), repeat=n):
-            assert eval_expr(expr, bits) == m.eval_state(f, bits)
+            assert eval_expr(expr, bits) == contains(m, f, bits)
 
 
 @settings(max_examples=25, deadline=None)
@@ -167,7 +181,7 @@ def test_isop_cover_is_irredundant(seed, n):
                    for cube in cubes)
 
     full = {bits for bits in product((0, 1), repeat=n)
-            if m.eval_state(f, bits)}
+            if contains(m, f, bits)}
     assert {b for b in product((0, 1), repeat=n) if covered(cover, b)} == full
     for k in range(len(cover)):
         reduced = cover[:k] + cover[k + 1:]
@@ -188,5 +202,5 @@ def test_apply_ops_against_python_semantics():
                        (OP_DIFF, lambda a, b: a & (1 - b))]:
             h = m.apply(op, f, g)
             for bits in product((0, 1), repeat=3):
-                assert m.eval_state(h, bits) == fn(
+                assert contains(m, h, bits) == fn(
                     eval_expr(e1, bits), eval_expr(e2, bits))

@@ -18,7 +18,7 @@ from basinscope import cli
 from basinscope.attractors import attractors
 from basinscope.basins import basin_triples
 from basinscope.dd import (
-    OP_XOR, ExprStyle, _kernel_py, _select, to_expression)
+    OP_XOR, ExprStyle, StateSet, _kernel_py, _select, to_expression)
 from basinscope.diagrams import walk_keys
 from basinscope.model import Var, make_and, parse_bnet
 from basinscope.stg import UpdateMode, build
@@ -156,9 +156,15 @@ def test_state_walks_match(kernel_c, steps, n_vars):
     for primed, count, pick, states in results[0]:
         if not primed:
             assert count == len(states)
-            assert states == sorted(states)
+            assert all(isinstance(x, int) for x in states)
+            assert states == sorted(states, key=lambda x: bits(x, n_vars))
             assert pick == (states[0] if states else
                             "cannot pick a state from the empty set")
+
+
+def bits(x, n):
+    """The bit string of the packed state x over n variables."""
+    return "".join(str(x >> i & 1) for i in range(n))
 
 
 def cube(kernel, x):
@@ -171,8 +177,7 @@ def cube(kernel, x):
 
 
 def eval_by_walk(kernel, f, x):
-    """Membership of x in f by a walk over the kernel's accessors (the
-    former DdManager.eval_state)."""
+    """Membership of x in f by a walk over the kernel's accessors."""
     while f >= 2:
         level = kernel.level_of(f)
         f = kernel.high_of(f) if x >> (level // 2) & 1 else kernel.low_of(f)
@@ -181,9 +186,9 @@ def eval_by_walk(kernel, f, x):
 
 def successors_by_image(kernel, r, x):
     """Packed successors of x in r through the relational product: the
-    primed image of the cube of x, renamed and listed as bit strings."""
+    primed image of the cube of x, renamed and listed."""
     image = kernel.shift(-1, kernel.and_exists(0, r, cube(kernel, x)))
-    return [int(s[::-1], 2) for s in kernel.states(image)]
+    return kernel.states(image)
 
 
 def packed_walks(kernel, nodes):
@@ -343,7 +348,8 @@ def test_walks_of_a_deep_diagram(manager_on):
     """A 1200-variable cube is deeper than Python's recursion limit."""
     n = 1200
     m = manager_on(n)
-    cube = m.cube_from_state([1] * n)
+    ones = 2 ** n - 1
+    cube = m.cube(ones)
     assert m.count_states(cube) == 1
     assert m.pick_min_state(cube) == "1" * n
     assert list(m.iter_states(cube)) == ["1" * n]
@@ -352,10 +358,11 @@ def test_walks_of_a_deep_diagram(manager_on):
         others = m.kernel.mk(2 * i, 1, others)
     assert m.count_states(others) == 2 ** n - 1
     assert m.pick_min_state(others) == "0" * n
-    ones = 2 ** n - 1
     k = m.kernel
+    assert k.pick_min_state(cube) == ones and k.states(cube) == [ones]
+    assert k.pick_min_state(others) == 0
     assert k.contains(cube, ones)
-    assert m.eval_state(cube, [1] * n)
+    assert StateSet(m, cube).contains("1" * n)
     for i in (0, 63, 64, n - 1):
         assert not k.contains(cube, ones ^ 1 << i)
         assert k.contains(others, ones ^ 1 << i)
@@ -383,13 +390,15 @@ def test_walks_of_a_deep_diagram(manager_on):
             state[i] = b
         expected.append("".join(state))
     assert list(m.iter_states(fixed)) == expected
+    assert k.states(fixed) == [int(s[::-1], 2) for s in expected]
+    assert k.pick_min_state(fixed) == ones ^ sum(1 << i for i in free)
 
 
 @pytest.mark.parametrize("style", [ExprStyle.FACTORED, ExprStyle.ISOP])
 def test_export_of_a_deep_diagram(manager_on, style):
     n = 1200
     m = manager_on(n)
-    cube = m.cube_from_state([1] * n)
+    cube = m.cube(2 ** n - 1)
     assert to_expression(m, cube, style) == make_and(
         [Var(i) for i in range(n)])
 
