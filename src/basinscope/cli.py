@@ -59,11 +59,14 @@ def _get_attractors(ts, args):
     """Detected attractors, or imported ones when --attractor-file is given;
     returns (attractors, partial flag)."""
     if args.attractor_file:
+        path = args.attractor_file
         try:
-            text = Path(args.attractor_file).read_text()
+            seeds = load_attractor_seeds(Path(path).read_text())
         except OSError as exc:
             raise DomainError(str(exc)) from exc
-        return import_attractors(ts, load_attractor_seeds(text)), True
+        except ValueError as exc:  # not UTF-8, not JSON or not a seed list
+            raise DomainError(f"{path}: {exc}") from exc
+        return import_attractors(ts, seeds), True
     return attractors(ts), False
 
 
@@ -83,9 +86,11 @@ def _markers(args, ts):
     markers = [mk.strip() for mk in args.markers.split(",") if mk.strip()]
     if not markers:
         raise DomainError("--markers must name at least one variable")
-    for mk in markers:
+    for i, mk in enumerate(markers):
         if ts.net.variables.index_of(mk) is None:
             raise DomainError(f"unknown marker {mk!r}")
+        if mk in markers[:i]:
+            raise DomainError(f"duplicate marker {mk!r}")
     return markers
 
 

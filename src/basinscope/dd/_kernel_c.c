@@ -7,8 +7,11 @@
  * evicted entry only revisits nodes that already exist, so node ids are the
  * same as with the unbounded caches of the pure-Python kernel.  The computed
  * table grows with the unique table up to CACHE_MAX_SLOTS entries.  A
- * parallel byte array records, per node, whether a primed slot occurs at or
- * below it, so that the state-level walks reject primed diagrams in O(1).
+ * parallel byte array of flags records, per node, whether a primed slot
+ * occurs at or below it, so that the state-level walks reject primed
+ * diagrams in O(1); its MARK bit is scratch for one search and clear
+ * between calls.  The variable order[p] occupies levels 2p (unprimed) and
+ * 2p + 1 (primed), and the order defaults to the declaration order.
  * Quantification has one recursion, the relational product and_exists
  * (after CUDD's Cudd_bddAndAbstract); quantifying a single diagram is its
  * product with TRUE.
@@ -34,6 +37,9 @@ enum { TAG_AND_EXISTS = 4, TAG_SHIFT = 6 };
 #define CACHE_MAX_SLOTS (1u << 22)
 #define MAX_NODES 0x7FFFFFFELL
 
+/* the per-node flags */
+enum { PRIMED = 1, MARK = 2 };
+
 typedef struct {
     int32_t level, low, high, next;
 } Node;
@@ -48,8 +54,9 @@ typedef struct {
     int n;
     int num_levels;
     long long node_limit;
+    int32_t *order; /* the variable at each position, from the top level */
     Node *nodes;
-    uint8_t *primed;
+    uint8_t *flags;
     int32_t size, capacity;
     int32_t *buckets;
     uint32_t bucket_mask;
@@ -159,12 +166,12 @@ static int32_t mk(Kernel *k, int32_t level, int32_t low, int32_t high)
             return -1;
         }
         k->nodes = nodes;
-        uint8_t *primed = realloc(k->primed, (size_t)cap);
-        if (primed == NULL) {
+        uint8_t *flags = realloc(k->flags, (size_t)cap);
+        if (flags == NULL) {
             PyErr_NoMemory();
             return -1;
         }
-        k->primed = primed;
+        k->flags = flags;
         k->capacity = cap;
     }
     Node *nd = &k->nodes[id];
@@ -173,7 +180,7 @@ static int32_t mk(Kernel *k, int32_t level, int32_t low, int32_t high)
     nd->high = high;
     nd->next = k->buckets[h];
     k->buckets[h] = id;
-    k->primed[id] = k->primed[low] | k->primed[high] | (level & 1);
+    k->flags[id] = ((k->flags[low] | k->flags[high]) & PRIMED) | (level & 1);
     k->size = id + 1;
     if ((uint32_t)k->size > k->bucket_mask + 1)
         grow_tables(k);
@@ -297,12 +304,12 @@ static int32_t shift(Kernel *k, int delta, int32_t f)
 
 /* -- state-level walks over unprimed diagrams ----------------------------- *
  * A state of the n unprimed variables crosses the API packed into an int
- * (see state_words); the terminals' sentinel level 2n stands for variable
- * index n. */
+ * (see state_words) whose bit i holds variable i under any order; the
+ * terminals' sentinel level 2n stands for position n. */
 
 static int check_unprimed(Kernel *k, int32_t f)
 {
-    if (!k->primed[f])
+    if (!(k->flags[f] & PRIMED))
         return 0;
     PyErr_SetString(PyExc_ValueError, "diagram references primed slots");
     return -1;
@@ -465,38 +472,87 @@ static PyObject *pack_state(const uint64_t *w, size_t words)
 
 static void Kernel_free_tables(Kernel *self)
 {
+    free(self->order);
     free(self->nodes);
-    free(self->primed);
+    free(self->flags);
     free(self->buckets);
     free(self->cache);
+    self->order = NULL;
     self->nodes = NULL;
-    self->primed = NULL;
+    self->flags = NULL;
     self->buckets = NULL;
     self->cache = NULL;
 }
 
+/* out[p] = the variable at position p: the identity for None, else the
+ * entries of order, a permutation of range(n) */
+static int read_order(int32_t *out, int n, PyObject *order)
+{
+    if (order == Py_None) {
+        for (int p = 0; p < n; p++)
+            out[p] = p;
+        return 0;
+    }
+    PyObject *seq = PySequence_Fast(order, "order must be a sequence");
+    uint8_t *seen = seq == NULL ? NULL : calloc((size_t)n + 1, 1);
+    if (seen == NULL) {
+        if (seq != NULL)
+            PyErr_NoMemory();
+        Py_XDECREF(seq);
+        return -1;
+    }
+    int ok = PySequence_Fast_GET_SIZE(seq) == n;
+    for (int p = 0; ok == 1 && p < n; p++) {
+        long v = PyLong_AsLong(PySequence_Fast_GET_ITEM(seq, p));
+        if (v == -1 && PyErr_Occurred())
+            ok = -1;
+        else if (v < 0 || v >= n || seen[v])
+            ok = 0;
+        else {
+            seen[v] = 1;
+            out[p] = (int32_t)v;
+        }
+    }
+    if (ok == 0)
+        PyErr_SetString(PyExc_ValueError,
+                        "order must be a permutation of range(n_vars)");
+    free(seen);
+    Py_DECREF(seq);
+    return ok == 1 ? 0 : -1;
+}
+
 static int Kernel_init(Kernel *self, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"n_vars", "node_limit", NULL};
+    static char *kwlist[] = {"n_vars", "node_limit", "order", NULL};
     int n_vars;
     long long node_limit = 1LL << 24;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "i|L", kwlist, &n_vars,
-                                     &node_limit))
+    PyObject *order = Py_None;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "i|LO", kwlist, &n_vars,
+                                     &node_limit, &order))
         return -1;
     if (n_vars < 0 || n_vars > (1 << 28)) {
         PyErr_SetString(PyExc_ValueError, "n_vars out of range");
         return -1;
     }
     Kernel_free_tables(self);
+    self->order = malloc(((size_t)n_vars + 1) * sizeof(int32_t));
+    if (self->order == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    if (read_order(self->order, n_vars, order) < 0) {
+        Kernel_free_tables(self);
+        return -1;
+    }
     self->n = n_vars;
     self->num_levels = 2 * n_vars;
     self->node_limit = node_limit;
     self->capacity = INITIAL_SLOTS;
     self->nodes = malloc(INITIAL_SLOTS * sizeof(Node));
-    self->primed = malloc(INITIAL_SLOTS);
+    self->flags = malloc(INITIAL_SLOTS);
     self->buckets = calloc(INITIAL_SLOTS, sizeof(int32_t));
     self->cache = malloc(INITIAL_SLOTS * sizeof(CacheEntry));
-    if (self->nodes == NULL || self->primed == NULL || self->buckets == NULL
+    if (self->nodes == NULL || self->flags == NULL || self->buckets == NULL
         || self->cache == NULL) {
         Kernel_free_tables(self);
         PyErr_NoMemory();
@@ -510,7 +566,7 @@ static int Kernel_init(Kernel *self, PyObject *args, PyObject *kwds)
         self->nodes[t].low = t;
         self->nodes[t].high = t;
         self->nodes[t].next = 0;
-        self->primed[t] = 0;
+        self->flags[t] = 0;
     }
     self->size = 2;
     return 0;
@@ -626,7 +682,7 @@ static PyObject *Kernel_has_primed(Kernel *self, PyObject *arg)
     int32_t f;
     if (Kernel_ready(self) < 0 || arg_node(self, arg, &f) < 0)
         return NULL;
-    return PyBool_FromLong(self->primed[f]);
+    return PyBool_FromLong(self->flags[f] & PRIMED);
 }
 
 static PyObject *Kernel_count_states(Kernel *self, PyObject *arg)
@@ -638,6 +694,98 @@ static PyObject *Kernel_count_states(Kernel *self, PyObject *arg)
     return count_states(self, f);
 }
 
+/* a growable array of node ids */
+typedef struct {
+    int32_t *ids;
+    size_t len, cap;
+} Ids;
+
+static int ids_push(Ids *a, int32_t id)
+{
+    if (a->len == a->cap) {
+        size_t cap = a->cap ? 2 * a->cap : 64;
+        int32_t *ids = realloc(a->ids, cap * sizeof(int32_t));
+        if (ids == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        a->ids = ids;
+        a->cap = cap;
+    }
+    a->ids[a->len++] = id;
+    return 0;
+}
+
+/* an entry of the search path: a node and how many branches it tried */
+typedef struct {
+    int32_t g;
+    int tried;
+} Step;
+
+/* A packed state of f that agrees with w on the variables before v and has
+ * 0 at v, into y, as _kernel_py.Kernel._search: a depth-first search, low
+ * branch first, along one path of at most n + 1 steps.  The path follows w
+ * at the variables before v and the low branch at v, and tries both
+ * branches at the others, which it sets as it found them.  It marks each
+ * node it reaches, lists it in seen and clears the marks before it returns
+ * 1 (found), 0 (none), or -1 with an exception set. */
+static int search(Kernel *k, int32_t f, const uint64_t *w, int32_t v,
+                  uint64_t *y, Step *path, Ids *seen)
+{
+    size_t words = state_words(k), depth = 1;
+    int found = 0;
+    seen->len = 0;
+    if (ids_push(seen, f) < 0)
+        return -1;
+    k->flags[f] |= MARK;
+    path[0] = (Step){f, 0};
+    while (depth > 0) {
+        Step *e = &path[depth - 1];
+        int32_t g = e->g;
+        if (g == 1) {
+            /* w before v, then the high branches of the path */
+            for (size_t t = 0; t < words; t++) {
+                int32_t below = v - 64 * (int32_t)t;
+                y[t] = below >= 64 ? w[t]
+                       : below > 0 ? w[t] & ((1ULL << below) - 1) : 0;
+            }
+            for (size_t d = 0; d + 1 < depth; d++) {
+                int32_t u = k->order[k->nodes[path[d].g].level >> 1];
+                if (u > v && path[d].tried == 2)
+                    y[u >> 6] |= 1ULL << (u & 63);
+            }
+            found = 1;
+            break;
+        }
+        Node nd = k->nodes[g];
+        int32_t u = k->order[nd.level >> 1];
+        int tried = e->tried++;
+        if (tried == 0)
+            g = u < v && (w[u >> 6] >> (u & 63)) & 1 ? nd.high : nd.low;
+        else if (tried == 1 && u > v)
+            g = nd.high;
+        else {
+            depth--;
+            continue;
+        }
+        if (g == 0 || k->flags[g] & MARK)
+            continue;
+        k->flags[g] |= MARK;
+        if (ids_push(seen, g) < 0) {
+            found = -1;
+            break;
+        }
+        path[depth++] = (Step){g, 0};
+    }
+    for (size_t i = 0; i < seen->len; i++)
+        k->flags[seen->ids[i]] &= (uint8_t)~MARK;
+    return found;
+}
+
+/* variable by variable in declaration order, 0 unless f holds no state that
+ * agrees with the values so far: a witness, a state of f that agrees with
+ * them, settles each variable where it has 0; where it has 1, a search for
+ * a state with 0 there gives the next witness, or finds none and keeps it */
 static PyObject *Kernel_pick_min_state(Kernel *self, PyObject *arg)
 {
     int32_t f;
@@ -651,21 +799,30 @@ static PyObject *Kernel_pick_min_state(Kernel *self, PyObject *arg)
     if (check_unprimed(self, f) < 0)
         return NULL;
     size_t words = state_words(self);
-    uint64_t *x = calloc(words + 1, sizeof(uint64_t));
-    if (x == NULL)
-        return PyErr_NoMemory();
-    while (f >= 2) {
-        Node nd = self->nodes[f];
-        if (nd.low != 0) {
-            f = nd.low;
-        } else {
-            int32_t v = nd.level >> 1;
-            x[v >> 6] |= 1ULL << (v & 63);
-            f = nd.high;
-        }
+    uint64_t *x = calloc(2 * words + 2, sizeof(uint64_t));
+    uint64_t *y = x == NULL ? NULL : x + words + 1;
+    Step *path = malloc(((size_t)self->n + 1) * sizeof(Step));
+    Ids seen = {NULL, 0, 0};
+    int found = -1;
+    if (x == NULL || path == NULL)
+        PyErr_NoMemory();
+    else
+        found = search(self, f, y, -1, x, path, &seen);
+    /* one conjunction of literals: x has 0 at each free variable */
+    int32_t g = f;
+    while (g >= 2 && (self->nodes[g].low == 0 || self->nodes[g].high == 0))
+        g = self->nodes[g].low | self->nodes[g].high;
+    for (int32_t v = 0; found >= 0 && g != 1 && v < self->n; v++) {
+        if (!((x[v >> 6] >> (v & 63)) & 1))
+            continue;
+        found = search(self, f, x, v, y, path, &seen);
+        if (found == 1)
+            memcpy(x, y, words * sizeof(uint64_t));
     }
-    PyObject *state = pack_state(x, words);
+    PyObject *state = found < 0 ? NULL : pack_state(x, words);
     free(x);
+    free(path);
+    free(seen.ids);
     return state;
 }
 
@@ -674,7 +831,7 @@ static int32_t descend(const Kernel *k, int32_t f, const uint64_t *x)
 {
     while (f >= 2) {
         Node nd = k->nodes[f];
-        int32_t v = nd.level >> 1;
+        int32_t v = k->order[nd.level >> 1];
         f = (x[v >> 6] >> (v & 63)) & 1 ? nd.high : nd.low;
     }
     return f;
@@ -700,7 +857,7 @@ static PyObject *Kernel_contains(Kernel *self, PyObject *const *args,
 }
 
 /* an entry of the state walk: the node for the slots from 2i on, reached
- * with variable i - 1 set to c */
+ * with the variable at position i - 1 set to c */
 typedef struct {
     int32_t g, i;
     int c;
@@ -750,12 +907,11 @@ static int succ_push(Succ *s)
     return 0;
 }
 
-/* The packed states y of r, into s, in lexicographic order of their bit
- * strings: depth-first over the variables, y_i = 0 first, as
- * _kernel_py.Kernel._walk.  With x == NULL the unprimed slot of variable i
- * branches.  Otherwise it follows x and the primed slot branches, so the
- * walk lists the successors of x.  A slot that branches does so also where
- * r skips it. */
+/* The packed states y of r, into s, depth-first over the levels, as
+ * _kernel_py.Kernel._walk.  With x == NULL the unprimed slot of each
+ * position branches.  Otherwise it follows x and the primed slot branches,
+ * so the walk lists the successors of x.  A slot that branches does so also
+ * where r skips it. */
 static int successors_of(const Kernel *k, int32_t r, const uint64_t *x,
                          Succ *s)
 {
@@ -769,7 +925,7 @@ static int successors_of(const Kernel *k, int32_t r, const uint64_t *x,
     while (top > 0) {
         Visit v = stack[--top];
         if (v.i > 0) {
-            int32_t b = v.i - 1;
+            int32_t b = k->order[v.i - 1];
             uint64_t bit = 1ULL << (b & 63);
             y[b >> 6] = v.c ? y[b >> 6] | bit : y[b >> 6] & ~bit;
         }
@@ -782,7 +938,8 @@ static int successors_of(const Kernel *k, int32_t r, const uint64_t *x,
         if (x != NULL) {
             if (k->nodes[g].level == slot) {
                 Node nd = k->nodes[g];
-                g = (x[v.i >> 6] >> (v.i & 63)) & 1 ? nd.high : nd.low;
+                int32_t b = k->order[v.i];
+                g = (x[b >> 6] >> (b & 63)) & 1 ? nd.high : nd.low;
                 if (g == 0)
                     continue;
             }
@@ -801,13 +958,36 @@ static int successors_of(const Kernel *k, int32_t r, const uint64_t *x,
     return 0;
 }
 
-/* the packed states that successors_of lists for r and x, as a list */
+/* the words per state that by_bits compares; the GIL serialises the
+ * sorts */
+static size_t sort_words;
+
+/* the lexicographic order of the bit strings of two packed states: the
+ * first variable where they differ decides, 0 first */
+static int by_bits(const void *a, const void *b)
+{
+    const uint64_t *x = a, *y = b;
+    for (size_t t = 0; t < sort_words; t++) {
+        uint64_t d = x[t] ^ y[t];
+        if (d != 0)
+            return x[t] & d & (~d + 1) ? 1 : -1;
+    }
+    return 0;
+}
+
+/* the packed states that successors_of lists for r and x, as a list in
+ * lexicographic order of their bit strings */
 static PyObject *walk_list(const Kernel *k, int32_t r, const uint64_t *x)
 {
     PyObject *out = NULL;
     Succ s;
-    if (succ_init(k, &s) == 0 && successors_of(k, r, x, &s) == 0)
+    if (succ_init(k, &s) == 0 && successors_of(k, r, x, &s) == 0) {
+        if (s.len > 1) {
+            sort_words = s.words;
+            qsort(s.w, s.len, s.words * sizeof(uint64_t), by_bits);
+        }
         out = PyList_New((Py_ssize_t)s.len);
+    }
     for (size_t i = 0; out != NULL && i < s.len; i++) {
         PyObject *state = pack_state(s.w + i * s.words, s.words);
         if (state == NULL)
@@ -1157,8 +1337,9 @@ static PyMemberDef Kernel_members[] = {
 static PyTypeObject KernelType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "basinscope.dd._kernel_c.Kernel",
-    .tp_doc = "Kernel(n_vars, node_limit=2**24): BDD node store over 2n "
-              "interleaved slots.",
+    .tp_doc = "Kernel(n_vars, node_limit=2**24, order=None): BDD node store "
+              "over 2n interleaved slots; the variable order[p] occupies "
+              "levels 2p and 2p + 1.",
     .tp_basicsize = sizeof(Kernel),
     .tp_flags = Py_TPFLAGS_DEFAULT,
     .tp_new = PyType_GenericNew,

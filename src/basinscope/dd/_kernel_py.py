@@ -1,8 +1,10 @@
 """Pure-Python reduced ordered BDD kernel.
 
 Node ids are small ints; 0 and 1 are the FALSE/TRUE terminals.  Levels are
-interleaved: model variable i occupies level 2i (unprimed) and 2i+1
-(primed).  Terminals sit at the sentinel level 2n.  Every node records
+interleaved: the variable order[p] occupies level 2p (unprimed) and 2p+1
+(primed), and the order defaults to the declaration order.  Terminals sit
+at the sentinel level 2n.  A packed state keeps bit i = variable i under
+any order.  Every node records
 whether a primed slot occurs at or below it, so that the state-level walks
 can reject a diagram with primed slots without walking it.  All operations
 share one computed table, keyed as in the C kernel: (op, f, g) for apply,
@@ -27,8 +29,13 @@ TAG_SHIFT = 6
 
 
 class Kernel:
-    def __init__(self, n_vars: int, node_limit: int = 1 << 24):
+    def __init__(self, n_vars: int, node_limit: int = 1 << 24, order=None):
         self.n = n_vars
+        if order is None:
+            order = range(n_vars)
+        self.order = list(order)
+        if sorted(self.order) != list(range(n_vars)):
+            raise ValueError("order must be a permutation of range(n_vars)")
         self.num_levels = 2 * n_vars
         self.node_limit = node_limit
         sentinel = self.num_levels
@@ -232,24 +239,70 @@ class Kernel:
 
     def pick_min_state(self, f: int) -> int:
         """The packed state of f whose bit string is lexicographically
-        smallest (0 < 1)."""
+        smallest (0 < 1).  Variable by variable in declaration order, it
+        is 0 unless f holds no state that agrees with the values so far.
+        A witness, a state of f that agrees with them, settles each
+        variable where it has 0; where it has 1, a search for a state with
+        0 there gives the next witness, or finds none and keeps it."""
         if f == 0:
             raise ValueError("cannot pick a state from the empty set")
         self._check_unprimed(f)
-        x = 0
-        while f >= 2:
-            if self._low[f] != 0:
-                f = self._low[f]
-            else:
-                x |= 1 << (self._level[f] >> 1)
-                f = self._high[f]
+        x = self._search(f, 0, -1)
+        if self._is_cube(f):  # x has 0 at each free variable
+            return x
+        for v in range(self.n):
+            if (x >> v) & 1:
+                y = self._search(f, x, v)
+                if y is not None:
+                    x = y
         return x
+
+    def _is_cube(self, f: int) -> bool:
+        """Whether f is one conjunction of literals: each node on its path
+        to TRUE has a FALSE branch."""
+        low, high = self._low, self._high
+        while f >= 2 and (low[f] == 0 or high[f] == 0):
+            f = low[f] or high[f]
+        return f == 1
+
+    def _search(self, f: int, w: int, v: int) -> int | None:
+        """A packed state of f that agrees with w on the variables before v
+        and has 0 at v, or None: a depth-first search, low branch first,
+        along one path of (node, branches tried) entries.  The path follows
+        w at the variables before v and the low branch at v, and tries
+        both branches at the others, which it sets as it found them."""
+        order, level, low, high = self.order, self._level, self._low, self._high
+        path = [[f, 0]]
+        seen = {f}
+        while path:
+            entry = path[-1]
+            g, tried = entry
+            if g == 1:
+                y = w & ((1 << max(v, 0)) - 1)
+                for g, tried in path[:-1]:
+                    u = order[level[g] >> 1]
+                    if u > v and tried == 2:
+                        y |= 1 << u
+                return y
+            u = order[level[g] >> 1]
+            entry[1] += 1
+            if tried == 0:
+                g = high[g] if u < v and (w >> u) & 1 else low[g]
+            elif tried == 1 and u > v:
+                g = high[g]
+            else:
+                path.pop()
+                continue
+            if g != 0 and g not in seen:
+                seen.add(g)
+                path.append([g, 0])
+        return None
 
     def states(self, f: int) -> list[int]:
         """The packed states of f, in lexicographic order of their bit
         strings."""
         self._check_unprimed(f)
-        return self._walk(f, None)
+        return self._by_bits(self._walk(f, None))
 
     def _check_state(self, x: int):
         if x < 0 or x >> self.n:
@@ -260,38 +313,37 @@ class Kernel:
         """Whether the packed state x is in the unprimed diagram f."""
         self._check_unprimed(f)
         self._check_state(x)
-        level, low, high = self._level, self._low, self._high
+        order, level, low, high = self.order, self._level, self._low, self._high
         while f >= 2:
-            f = high[f] if (x >> (level[f] >> 1)) & 1 else low[f]
+            f = high[f] if (x >> order[level[f] >> 1]) & 1 else low[f]
         return f == 1
 
     def successors(self, r: int, x: int) -> list[int]:
         """The packed states y with (x, y') in r, in lexicographic order of
         their bit strings."""
         self._check_state(x)
-        return self._walk(r, x)
+        return self._by_bits(self._walk(r, x))
 
     def _walk(self, r: int, x: int | None) -> list[int]:
-        """The packed states y of r, in lexicographic order of their bit
-        strings: depth-first over the variables, y_i = 0 first.  An entry
-        (g, i, y) is the node g of r for the slots from 2i on, with y's
-        variables below i set.  Without x, the unprimed slot of variable i
-        branches.  With x, it follows x and the primed slot branches; so
-        the walk lists the successors of x.  A slot that branches does so
-        also where r skips it."""
-        n = self.n
+        """The packed states y of r, depth-first over the levels.  An
+        entry (g, p, y) is the node g of r for the slots from 2p on, with
+        the variables of the positions above p set in y.  Without x, the
+        unprimed slot of each position branches.  With x, it follows x and
+        the primed slot branches; so the walk lists the successors of x.  A
+        slot that branches does so also where r skips it."""
+        n, order = self.n, self.order
         level, low, high = self._level, self._low, self._high
         out = []
         stack = [(r, 0, 0)] if r != 0 else []
         while stack:
-            g, i, y = stack.pop()
-            if i == n:
+            g, p, y = stack.pop()
+            if p == n:
                 out.append(y)
                 continue
-            slot = 2 * i
+            slot, bit = 2 * p, 1 << order[p]
             if x is not None:
                 if level[g] == slot:
-                    g = high[g] if (x >> i) & 1 else low[g]
+                    g = high[g] if x & bit else low[g]
                     if g == 0:
                         continue
                 slot += 1
@@ -300,10 +352,16 @@ class Kernel:
             else:
                 lo = hi = g
             if hi != 0:
-                stack.append((hi, i + 1, y | 1 << i))
+                stack.append((hi, p + 1, y | bit))
             if lo != 0:
-                stack.append((lo, i + 1, y))
+                stack.append((lo, p + 1, y))
         return out
+
+    def _by_bits(self, states: list[int]) -> list[int]:
+        """The packed states in lexicographic order of their bit strings."""
+        one = 1 << self.n
+        # bin(y | one) is "0b1" followed by y's n bits, variable 0 last
+        return sorted(states, key=lambda y: bin(y | one)[:2:-1])
 
     # -- random walks over packed states ------------------------------------
 

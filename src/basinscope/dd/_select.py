@@ -20,6 +20,6 @@ else:
         from ._kernel_py import BACKEND, OP_AND, OP_DIFF, OP_OR, OP_XOR, Kernel  # noqa: F401
 
 if _choice not in (None, "py", "c"):
-    def Kernel(n_vars, node_limit):  # noqa: F811
+    def Kernel(n_vars, node_limit, order=None):  # noqa: F811
         raise ValueError(
             f"BASINSCOPE_DD_BACKEND must be 'py' or 'c', got {_choice!r}")

@@ -2,7 +2,9 @@
 
 Three styles: one DNF term per state, a nested factored form mirroring the
 diagram structure, and an irredundant sum-of-products computed by the
-Minato-Morreale interval recursion.
+Minato-Morreale interval recursion.  The last two follow the diagram's
+variable order, so `to_expression` takes them from a copy of the diagram in
+declaration order: a set gives the same expression under any order.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ def to_expression(m: DdManager, f: int,
     if style is ExprStyle.DNF_STATES:
         return dnf_states(m, f)
     if style is ExprStyle.FACTORED:
-        return factored(m, f)
+        return factored(*m.in_declaration_order(f))
     if style is ExprStyle.ISOP:
-        return isop_expression(m, f)
+        return isop_expression(*m.in_declaration_order(f))
     raise ValueError(f"unknown expression style {style!r}")
 
 
@@ -66,7 +68,7 @@ def factored(m: DdManager, f: int) -> BoolExpr:
             stack.append(lo)
             continue
         stack.pop()
-        v = Var(lvl // 2)
+        v = Var(m.var_at(lvl))
         terms = []
         if hi != 0:
             terms.append(v if hi == 1 else make_and([v, memo[hi]]))
@@ -115,7 +117,7 @@ def _isop_frame(m: DdManager, L: int, U: int, memo):
     sub-interval (L', U') and is sent back its (cubes, ref)."""
     k = m.kernel
     lvl = min(k.level_of(L), k.level_of(U))
-    v = lvl // 2
+    v = m.var_at(lvl)
     L0, L1 = _cofactors(m, L, lvl)
     U0, U1 = _cofactors(m, U, lvl)
     # cubes that must carry the negative / positive literal of v

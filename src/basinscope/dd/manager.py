@@ -33,20 +33,35 @@ def node_limit_from_env() -> int:
 
 class DdManager:
     """Canonical node store over 2n interleaved slots (unprimed, primed);
-    its node limit is read from BASINSCOPE_NODE_LIMIT."""
+    its node limit is read from BASINSCOPE_NODE_LIMIT.
 
-    def __init__(self, n_vars: int):
-        self.kernel = _kernel.Kernel(n_vars, node_limit_from_env())
+    `order` lists the variables from the top level down: the variable
+    order[p] occupies levels 2p (unprimed) and 2p + 1 (primed).  It
+    defaults to the declaration order.  Packed states and bit strings keep
+    variable i at bit i and character i under any order."""
+
+    def __init__(self, n_vars: int, order=None):
+        self.order = tuple(range(n_vars) if order is None else order)
+        self.kernel = _kernel.Kernel(n_vars, node_limit_from_env(), self.order)
         self.n = n_vars
+        # the unprimed level of each variable
+        self._level = [0] * n_vars
+        for p, i in enumerate(self.order):
+            self._level[i] = 2 * p
+        self._declared = None  # see in_declaration_order
 
     # -- construction ------------------------------------------------------
 
     def var(self, i: int) -> int:
         """Diagram of model variable i (unprimed slot)."""
-        return self.kernel.mk(2 * i, 0, 1)
+        return self.kernel.mk(self._level[i], 0, 1)
 
     def var_primed(self, i: int) -> int:
-        return self.kernel.mk(2 * i + 1, 0, 1)
+        return self.kernel.mk(self._level[i] + 1, 0, 1)
+
+    def var_at(self, level: int) -> int:
+        """The model variable whose slots include the level."""
+        return self.order[level >> 1]
 
     def compile_expr(self, expr: BoolExpr) -> int:
         """Compile an indexed Boolean expression into an unprimed diagram."""
@@ -74,11 +89,11 @@ class DdManager:
         holds variable i."""
         acc = 1
         k = self.kernel
-        for i in reversed(range(self.n)):
-            if (x >> i) & 1:
-                acc = k.mk(2 * i, 0, acc)
+        for p in reversed(range(self.n)):
+            if (x >> self.order[p]) & 1:
+                acc = k.mk(2 * p, 0, acc)
             else:
-                acc = k.mk(2 * i, acc, 0)
+                acc = k.mk(2 * p, acc, 0)
         return acc
 
     def from_states(self, states) -> int:
@@ -152,6 +167,37 @@ class DdManager:
     def _check_unprimed(self, f: int):
         if self.kernel.has_primed(f):
             raise ValueError("diagram references primed slots")
+
+    def in_declaration_order(self, f: int) -> tuple["DdManager", int]:
+        """A manager whose levels follow the declaration order, and the
+        unprimed diagram f in it: this manager and f when its order is the
+        declaration order, else a companion manager that keeps the copies
+        of earlier calls.  Exports that follow the diagram's structure read
+        the copy, so that they do not depend on the order."""
+        self._check_unprimed(f)
+        if self.order == tuple(range(self.n)):
+            return self, f
+        if self._declared is None:
+            self._declared = (DdManager(self.n), {0: 0, 1: 1})
+        d, memo = self._declared
+        k, dk = self.kernel, d.kernel
+        # post-order on an explicit stack; each node becomes
+        # (v & high) | (low & !v) over the copies of its children
+        stack = [f]
+        while stack:
+            g = stack[-1]
+            if g in memo:
+                stack.pop()
+                continue
+            lo, hi = k.low_of(g), k.high_of(g)
+            if lo not in memo or hi not in memo:
+                stack += (lo, hi)
+                continue
+            stack.pop()
+            v = d.var(self.var_at(k.level_of(g)))
+            memo[g] = dk.apply(OP_OR, dk.apply(OP_AND, v, memo[hi]),
+                               dk.apply(OP_DIFF, memo[lo], v))
+        return d, memo[f]
 
     # -- state-level operations (walked by the kernel) ---------------------
     # The kernel takes and returns packed states; the bit strings of the

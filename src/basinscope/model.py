@@ -366,7 +366,8 @@ def parse_bnet(text: str) -> BooleanNetwork:
 # booleanized multi-valued variables
 
 
-def _conjuncts(expr: BoolExpr | None) -> tuple[BoolExpr, ...]:
+def conjuncts(expr: BoolExpr | None) -> tuple[BoolExpr, ...]:
+    """The top-level conjuncts of an admissibility expression."""
     if expr is None:
         return ()
     if isinstance(expr, And):
@@ -395,7 +396,7 @@ def detect_van_ham_pairs(net: BooleanNetwork) -> BooleanNetwork:
         constraints.append(Not(make_and([Var(j), Not(Var(i))])))
     if not constraints:
         return net
-    existing = _conjuncts(net.admissibility)
+    existing = conjuncts(net.admissibility)
     new = [c for c in constraints if c not in existing]
     if not new:
         return net

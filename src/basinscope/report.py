@@ -186,18 +186,22 @@ def pie_slices(sizes: list[int], total: int) -> list[tuple[float, float]]:
 
 
 def _arc_path(cx: float, cy: float, r: float, a0: float, a1: float) -> str:
-    if a1 - a0 >= 360.0 - 1e-9:
-        # full circle: two half arcs
-        return (f"M {_fmt(cx - r)} {_fmt(cy)} "
-                f"A {_fmt(r)} {_fmt(r)} 0 1 1 {_fmt(cx + r)} {_fmt(cy)} "
-                f"A {_fmt(r)} {_fmt(r)} 0 1 1 {_fmt(cx - r)} {_fmt(cy)} Z")
     large = 1 if (a1 - a0) > 180.0 else 0
     x0 = cx + r * math.cos(math.radians(a0 - 90.0))
     y0 = cy + r * math.sin(math.radians(a0 - 90.0))
     x1 = cx + r * math.cos(math.radians(a1 - 90.0))
     y1 = cy + r * math.sin(math.radians(a1 - 90.0))
-    return (f"M {_fmt(cx)} {_fmt(cy)} L {_fmt(x0)} {_fmt(y0)} "
-            f"A {_fmt(r)} {_fmt(r)} 0 {large} 1 {_fmt(x1)} {_fmt(y1)} Z")
+    start, end = f"{_fmt(x0)} {_fmt(y0)}", f"{_fmt(x1)} {_fmt(y1)}"
+    # SVG draws no arc between equal endpoints: a large slice whose
+    # endpoints print alike, as one of all but a few of 2^24 states, is
+    # drawn as the full circle
+    if a1 - a0 >= 360.0 - 1e-9 or (large and start == end):
+        # full circle: two half arcs
+        return (f"M {_fmt(cx - r)} {_fmt(cy)} "
+                f"A {_fmt(r)} {_fmt(r)} 0 1 1 {_fmt(cx + r)} {_fmt(cy)} "
+                f"A {_fmt(r)} {_fmt(r)} 0 1 1 {_fmt(cx - r)} {_fmt(cy)} Z")
+    return (f"M {_fmt(cx)} {_fmt(cy)} L {start} "
+            f"A {_fmt(r)} {_fmt(r)} 0 {large} 1 {end} Z")
 
 
 def basin_piechart_svg(partition: list[tuple[str, int]], total: int) -> str:

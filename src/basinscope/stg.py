@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 from .dd import OP_AND, OP_DIFF, OP_OR, OP_XOR, DdManager, StateSet
-from .model import BooleanNetwork
+from .model import BooleanNetwork, conjuncts, expr_vars
 
 
 class UpdateMode(enum.Enum):
@@ -119,8 +120,48 @@ class TransitionSystem:
         return self.set_of(self.backward_reach_ref(x.ref))
 
 
-def build(net: BooleanNetwork,
-          mode: UpdateMode = UpdateMode.ASYNC) -> TransitionSystem:
+FORCE_ROUNDS = 50
+
+
+def force_order(net: BooleanNetwork) -> list[int]:
+    """A static variable order by FORCE (Aloul, Markov & Sakallah, GLSVLSI
+    2003), as the variables from the top level down.
+
+    Each update gives one hyperedge, its target and the variables it reads,
+    and each conjunct of the admissibility constraint (one per van Ham
+    pair) gives one more.  From the declaration order, each of up to
+    FORCE_ROUNDS rounds moves every variable to the mean centre of gravity
+    of its hyperedges and ranks the variables by that; ties keep the
+    previous order.  The arithmetic is exact, so ties are exact too."""
+    n = net.n
+    edges = [sorted({i} | expr_vars(upd)) for i, upd in enumerate(net.updates)]
+    edges += [sorted(expr_vars(c)) for c in conjuncts(net.admissibility)]
+    edges = [e for e in edges if e]
+    member = [[] for _ in range(n)]
+    for j, e in enumerate(edges):
+        for v in e:
+            member[v].append(j)
+    # centres scaled by the lcm of the edge sizes and means by the lcm of
+    # the degrees are integers
+    size_lcm = math.lcm(*map(len, edges))
+    degree_lcm = math.lcm(*map(len, member))
+    order = list(range(n))
+    pos = list(range(n))
+    for _ in range(FORCE_ROUNDS):
+        centre = [sum(pos[v] for v in e) * (size_lcm // len(e)) for e in edges]
+        target = [sum(centre[j] for j in member[v])
+                  * (degree_lcm // len(member[v])) for v in range(n)]
+        ranked = sorted(range(n), key=lambda v: (target[v], pos[v]))
+        if ranked == order:
+            break
+        order = ranked
+        for p, v in enumerate(order):
+            pos[v] = p
+    return order
+
+
+def build(net: BooleanNetwork, mode: UpdateMode = UpdateMode.ASYNC,
+          order=None) -> TransitionSystem:
     """Build the symbolic STG for the given update mode.
 
     ASYNC: x -> y iff exactly one variable changes to its update value.
@@ -129,10 +170,12 @@ def build(net: BooleanNetwork,
     variable to flip, and a state stranded by the admissibility
     restriction.  A sync steady state has y = f(x) = x.  The states that
     self-loop, in either mode, are kept as `loops`.  The manager takes its
-    node limit from BASINSCOPE_NODE_LIMIT.
+    node limit from BASINSCOPE_NODE_LIMIT, and its variable order from
+    `order` (variables from the top level down), by default from
+    `force_order`.  Every output is the same under any order.
     """
     n = net.n
-    m = DdManager(n)
+    m = DdManager(n, force_order(net) if order is None else order)
     space = (1 if net.admissibility is None
              else m.compile_expr(net.admissibility))
 

@@ -313,3 +313,15 @@ def with_van_ham_pair(net, medium, high):
     names[medium], names[high] = "x_medium", "x_high"
     return detect_van_ham_pairs(
         BooleanNetwork(VariableTable(tuple(names)), net.updates))
+
+
+def oracle_cases(seed, count):
+    """Random networks, each also with a van Ham pair, whose admissibility
+    restriction can leave states without a successor."""
+    rng = random.Random(seed)
+    pairs = random.Random(seed + 1)
+    for _ in range(count):
+        n = rng.randrange(2, 8)
+        net = random_network(rng, n)
+        yield net
+        yield with_van_ham_pair(net, *pairs.sample(range(n), 2))

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from basinscope.attractors import (
@@ -9,9 +7,7 @@ from basinscope.ctl import EF, Atom, accept_ref
 from basinscope.model import detect_van_ham_pairs, parse_bnet
 from basinscope.stg import UpdateMode, build
 from conftest import TOGGLE, VAN_HAM
-from oracle import (
-    explicit_stg, random_network, tarjan_sccs, terminal_sccs,
-    with_van_ham_pair)
+from oracle import explicit_stg, oracle_cases, tarjan_sccs, terminal_sccs
 
 
 def test_toggle_attractors(toggle_ts):
@@ -62,18 +58,6 @@ def test_import_state_seed(toggle_ts):
     attrs = import_attractors(toggle_ts, ["10"])
     assert attrs[0].states.states() == ["10"]
     assert not attrs[0].unverified
-
-
-def oracle_cases(seed, count):
-    """Random networks, each also with a van Ham pair, whose admissibility
-    restriction can leave states without a successor."""
-    rng = random.Random(seed)
-    pairs = random.Random(seed + 1)
-    for _ in range(count):
-        n = rng.randrange(2, 8)
-        net = random_network(rng, n)
-        yield net
-        yield with_van_ham_pair(net, *pairs.sample(range(n), 2))
 
 
 @pytest.mark.parametrize("mode", list(UpdateMode), ids=lambda mode: mode.value)

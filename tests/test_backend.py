@@ -19,16 +19,16 @@ from conftest import TOGGLE
 PACKAGE = Path(basinscope.__file__).parent
 
 
-def run_python(code, path, backend=None, returncode=0):
-    """Run code in a fresh interpreter that imports basinscope from path,
-    with BASINSCOPE_DD_BACKEND set to backend (unset for None); returns the
-    finished process."""
+def run_python(code, path, backend=None, returncode=0, flags=()):
+    """Run code in a fresh interpreter, started with the given flags, that
+    imports basinscope from path, with BASINSCOPE_DD_BACKEND set to backend
+    (unset for None); returns the finished process."""
     env = {k: v for k, v in os.environ.items()
            if k not in ("BASINSCOPE_DD_BACKEND", "PYTHONPATH")}
     env["PYTHONPATH"] = str(path)
     if backend is not None:
         env["BASINSCOPE_DD_BACKEND"] = backend
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, *flags, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == returncode, proc.stderr
     return proc
@@ -109,3 +109,46 @@ def test_simulate_leaves_openssl_unloaded(tmp_path):
         "assert run(argv) == 0\n"
         "assert '_hashlib' not in sys.modules\n",
         PACKAGE.parent)
+
+
+# the modules that `import basinscope.cli` loads, the start-up path that
+# the benchmark times as setup_s: the package's own, one of the two
+# kernels, and standard-library modules from this list, the union of what
+# Python 3.10 to 3.13 load (top-level names; C accelerators such as _json
+# left out)
+CLI_MODULES = {
+    "basinscope", "basinscope.attractors", "basinscope.basins",
+    "basinscope.cli", "basinscope.ctl", "basinscope.dd",
+    "basinscope.dd._errors", "basinscope.dd._select",
+    "basinscope.dd.express", "basinscope.dd.manager", "basinscope.diagrams",
+    "basinscope.model", "basinscope.report", "basinscope.stg",
+}
+KERNEL_MODULES = {"basinscope.dd._kernel_c", "basinscope.dd._kernel_py"}
+CLI_STDLIB = {
+    "argparse", "ast", "bisect", "collections", "contextlib", "copy",
+    "copyreg", "dataclasses", "dis", "enum", "errno", "fnmatch", "functools",
+    "genericpath", "gettext", "glob", "grp", "importlib", "inspect",
+    "ipaddress", "itertools", "json", "keyword", "linecache", "math",
+    "ntpath", "opcode", "operator", "os", "pathlib", "posixpath", "pwd",
+    "random", "re", "reprlib", "sre_compile", "sre_constants", "sre_parse",
+    "stat", "token", "tokenize", "types", "urllib", "warnings", "weakref",
+}
+
+
+def test_cli_import_loads_only_the_pinned_modules():
+    """A new import on the CLI's start-up path fails here, not only as a
+    slower setup_s in the benchmark.  The interpreter runs without site,
+    whose start-up imports differ between installs."""
+    proc = run_python(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import basinscope.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n",
+        PACKAGE.parent, os.environ.get("BASINSCOPE_DD_BACKEND"), flags=["-S"])
+    loaded = set(proc.stdout.split())
+    package = {m for m in loaded if m.split(".")[0] == "basinscope"}
+    assert len(package & KERNEL_MODULES) == 1
+    assert package - KERNEL_MODULES == CLI_MODULES
+    stdlib = {m.split(".")[0] for m in loaded - package
+              if not m.startswith("_")}
+    assert stdlib <= CLI_STDLIB, sorted(stdlib - CLI_STDLIB)

@@ -62,6 +62,8 @@ def test_check_renders_the_formula(ctl, formula, count, expression,
     (["phenotypes", "--markers", ""],
      "error: --markers must name at least one variable"),
     (["simulate", "--markers", "a,zz"], "error: unknown marker 'zz'"),
+    (["phenotypes", "--markers", "a,a"], "error: duplicate marker 'a'"),
+    (["simulate", "--markers", "b,a,b"], "error: duplicate marker 'b'"),
 ])
 def test_bad_formula_or_markers_are_one_line_errors(argv, message,
                                                     toggle_file, capsys):
@@ -244,6 +246,25 @@ def test_empty_diagram_pie_chart_is_one_light_slice(command, toggle_file,
         argv += ["--markers", "a"]
     run_json(capsys, argv)
     assert "uncommitted: 4</text>" in pie.read_text()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "Expecting value: line 1 column 1 (char 0)"),
+    ('{"a": 1}', "attractor file must contain a JSON list"),
+    ("[1]", "unsupported attractor entry 1"),
+    (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0: "
+               "invalid start byte"),
+])
+def test_attractor_file_errors_name_the_file(text, message, toggle_file,
+                                             tmp_path, capsys):
+    seeds = tmp_path / "seeds.json"
+    if isinstance(text, bytes):
+        seeds.write_bytes(text)
+    else:
+        seeds.write_text(text)
+    assert run(["attractors", "--bnet", toggle_file,
+                "--attractor-file", str(seeds)]) == 1
+    assert one_line_error(capsys) == f"error: {seeds}: {message}\n"
 
 
 def test_duplicate_attractor_seeds_are_one_line_error(toggle_file, tmp_path,

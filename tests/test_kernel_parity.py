@@ -78,10 +78,11 @@ def node_table(kernel):
 
 @settings(max_examples=150, deadline=None)
 @given(steps=STEPS, n_vars=st.integers(1, 4),
-       node_limit=st.one_of(st.none(), st.integers(2, 40)))
+       node_limit=st.one_of(st.none(), st.integers(2, 40)), data=st.data())
 def test_random_operations_match_node_for_node(kernel_c, steps, n_vars,
-                                               node_limit):
-    args = (n_vars,) if node_limit is None else (n_vars, node_limit)
+                                               node_limit, data):
+    order = data.draw(st.permutations(range(n_vars)))
+    args = (n_vars, 1 << 24 if node_limit is None else node_limit, order)
     expected = run_ops(_kernel_py.Kernel(*args), steps)
     assert run_ops(kernel_c.Kernel(*args), steps) == expected
 
@@ -145,11 +146,14 @@ def walks(kernel, f):
 
 
 @settings(max_examples=100, deadline=None)
-@given(steps=STEPS, n_vars=st.integers(1, 4))
-def test_state_walks_match(kernel_c, steps, n_vars):
+@given(steps=STEPS, n_vars=st.integers(1, 4), data=st.data())
+def test_state_walks_match(kernel_c, steps, n_vars, data):
+    """The walks agree on both kernels under the same variable order, and
+    list and pick states in the order of their bit strings."""
+    order = data.draw(st.permutations(range(n_vars)))
     results = []
     for module in (_kernel_py, kernel_c):
-        kernel = module.Kernel(n_vars)
+        kernel = module.Kernel(n_vars, 1 << 24, order)
         run_ops(kernel, steps)
         results.append([walks(kernel, f) for f in range(kernel.num_nodes())])
     assert results[0] == results[1]
@@ -167,27 +171,28 @@ def bits(x, n):
     return "".join(str(x >> i & 1) for i in range(n))
 
 
-def cube(kernel, x):
-    """Diagram of the packed state x (bit i holds variable i)."""
+def cube(kernel, x, order):
+    """Diagram of the packed state x (bit i holds variable i) in a kernel
+    whose level 2p holds the variable order[p]."""
     acc = 1
-    for i in reversed(range(kernel.n)):
-        acc = (kernel.mk(2 * i, 0, acc) if x >> i & 1
-               else kernel.mk(2 * i, acc, 0))
+    for p in reversed(range(kernel.n)):
+        acc = (kernel.mk(2 * p, 0, acc) if x >> order[p] & 1
+               else kernel.mk(2 * p, acc, 0))
     return acc
 
 
-def eval_by_walk(kernel, f, x):
+def eval_by_walk(kernel, f, x, order):
     """Membership of x in f by a walk over the kernel's accessors."""
     while f >= 2:
-        level = kernel.level_of(f)
-        f = kernel.high_of(f) if x >> (level // 2) & 1 else kernel.low_of(f)
+        v = order[kernel.level_of(f) // 2]
+        f = kernel.high_of(f) if x >> v & 1 else kernel.low_of(f)
     return f == 1
 
 
-def successors_by_image(kernel, r, x):
+def successors_by_image(kernel, r, x, order):
     """Packed successors of x in r through the relational product: the
     primed image of the cube of x, renamed and listed."""
-    image = kernel.shift(-1, kernel.and_exists(0, r, cube(kernel, x)))
+    image = kernel.shift(-1, kernel.and_exists(0, r, cube(kernel, x, order)))
     return kernel.states(image)
 
 
@@ -208,24 +213,27 @@ def packed_walks(kernel, nodes):
 
 
 @settings(max_examples=100, deadline=None)
-@given(steps=STEPS, n_vars=st.integers(1, 4))
-def test_packed_state_walks_match(kernel_c, steps, n_vars):
+@given(steps=STEPS, n_vars=st.integers(1, 4), data=st.data())
+def test_packed_state_walks_match(kernel_c, steps, n_vars, data):
     """contains and successors give the same results and errors on both
-    kernels; contains agrees with a walk over the accessors and successors
-    with the relational product, in the order of the bit strings."""
+    kernels under the same variable order; contains agrees with a walk
+    over the accessors and successors with the relational product, in the
+    order of the bit strings."""
+    order = data.draw(st.permutations(range(n_vars)))
     results = []
     for module in (_kernel_py, kernel_c):
-        kernel = module.Kernel(n_vars)
+        kernel = module.Kernel(n_vars, 1 << 24, order)
         trace, _ = run_ops(kernel, steps)
         nodes = {0, 1, *[r for r in trace if isinstance(r, int)][-8:]}
         results.append(packed_walks(kernel, nodes))
         for f in range(kernel.num_nodes()):
             for x in range(2 ** n_vars):
                 if not kernel.has_primed(f):
-                    assert kernel.contains(f, x) == eval_by_walk(kernel, f, x)
+                    assert kernel.contains(f, x) == \
+                        eval_by_walk(kernel, f, x, order)
                 if f in nodes:
                     assert kernel.successors(f, x) == \
-                        successors_by_image(kernel, f, x)
+                        successors_by_image(kernel, f, x, order)
     assert results[0] == results[1]
 
 
@@ -413,10 +421,11 @@ def test_walks_reject_a_deep_primed_node(manager_on):
             walk(f)
 
 
-def analyse(kernel_cls, monkeypatch, net, node_limit=None):
-    """Attractors and basins of net on the given kernel class; returns each
-    attractor's representative and basin sizes, or the node-limit error,
-    plus the node table."""
+def analyse(kernel_cls, monkeypatch, net, node_limit=None, order=None):
+    """Attractors and basins of net on the given kernel class, in the given
+    variable order (FORCE for None); returns each attractor's
+    representative and basin sizes, or the node-limit error, plus the node
+    table."""
     kernels = []
 
     def make(*args):
@@ -427,7 +436,7 @@ def analyse(kernel_cls, monkeypatch, net, node_limit=None):
     if node_limit is not None:
         monkeypatch.setenv("BASINSCOPE_NODE_LIMIT", str(node_limit))
     try:
-        ts = build(net)
+        ts = build(net, order=order)
         sizes = [(t.attractor.representative, t.weak_info.size,
                   t.strong_info.size, t.cycle_free_info.size)
                  for t in basin_triples(ts, attractors(ts))]
@@ -440,15 +449,23 @@ def analyse(kernel_cls, monkeypatch, net, node_limit=None):
     (6, 10, None), (2, 11, None), (2, 11, 5000)])
 def test_pipeline_matches_node_for_node(kernel_c, monkeypatch, seed, n,
                                         node_limit):
-    """Whole analyses grow the C kernel's unique and computed tables past
-    their initial size, and the small limit stops both kernels mid-run."""
+    """Whole analyses, in the declaration order and in FORCE order, match
+    node for node.  In the declaration order they grow the C kernel's
+    unique and computed tables past their initial size, and the small limit
+    stops both kernels mid-run."""
     net = random_network(random.Random(seed), n)
-    expected = analyse(_kernel_py.Kernel, monkeypatch, net, node_limit)
-    if node_limit is None:
-        assert len(expected[1]) > 4096
-    else:
-        assert expected[0] == f"decision diagram exceeds node limit {node_limit}"
-    assert analyse(kernel_c.Kernel, monkeypatch, net, node_limit) == expected
+    for order in (range(n), None):
+        expected = analyse(_kernel_py.Kernel, monkeypatch, net, node_limit,
+                           order)
+        assert analyse(kernel_c.Kernel, monkeypatch, net, node_limit,
+                       order) == expected
+        if order is None:
+            continue  # FORCE keeps these networks below both marks
+        if node_limit is None:
+            assert len(expected[1]) > 4096
+        else:
+            assert expected[0] == \
+                f"decision diagram exceeds node limit {node_limit}"
 
 
 # a toggle (a, b) that, with a on, lets c and d cycle and otherwise holds

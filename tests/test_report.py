@@ -120,3 +120,32 @@ def test_percent_vs_absolute_rendering():
         "a, !b\nb, !a\n" + "".join(f"v{i}, 0\n" for i in range(9))))
     bars = basin_barplot_svg(basin_triples(ts, attractors(ts)), 2048)
     assert bars.count(">75%</text>") == 2
+
+
+FULL_CIRCLE = "M 30 150 A 120 120 0 1 1 270 150 A 120 120 0 1 1 30 150 Z"
+
+
+@pytest.mark.parametrize("bits", [24, 26, 28, 30])
+def test_slice_of_all_but_one_state_is_the_full_circle(bits):
+    """The endpoints of a slice of all but one of 2^24 states or more print
+    alike, and SVG draws no arc between equal endpoints: the slice is
+    drawn as the full circle, and the one-state slice stays an empty
+    sliver."""
+    svg = basin_piechart_svg([("c", 2 ** bits - 1)], 2 ** bits)
+    paths = re.findall(r'<path d="([^"]*)" fill="([^"]*)"', svg)
+    assert paths == [
+        (FULL_CIRCLE, "#1f77b4"),
+        ("M 150 150 L 150 30 A 120 120 0 0 1 150 30 Z", "#f0f0f0")]
+
+
+def test_other_slices_keep_their_arcs():
+    svg = basin_piechart_svg([("a", 2 ** 10 - 1)], 2 ** 10)
+    assert re.findall(r'<path d="([^"]*)"', svg) == [
+        "M 150 150 L 150 30 A 120 120 0 1 1 149.2637 30.0023 Z",
+        "M 150 150 L 149.2637 30.0023 A 120 120 0 0 1 150 30 Z"]
+    assert re.findall(r'<path d="([^"]*)"',
+                      basin_piechart_svg([("a", 3), ("b", 5)], 10)) == [
+        "M 150 150 L 150 30 A 120 120 0 0 1 264.1268 187.082 Z",
+        "M 150 150 L 264.1268 187.082 A 120 120 0 0 1 35.8732 112.918 Z",
+        "M 150 150 L 35.8732 112.918 A 120 120 0 0 1 150 30 Z"]
+    assert FULL_CIRCLE in basin_piechart_svg([("a", 4)], 4)
