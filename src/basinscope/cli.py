@@ -27,7 +27,7 @@ def _write(path: str, text: str):
         sys.stdout.write(text)
         return
     try:
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise DomainError(f"cannot write {path}: {exc}") from exc
 
@@ -39,9 +39,11 @@ def _emit_json(args, payload):
 
 def _load_network(args):
     try:
-        text = Path(args.bnet).read_text()
+        text = Path(args.bnet).read_text(encoding="utf-8")
     except OSError as exc:
         raise DomainError(f"cannot read {args.bnet}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{args.bnet}: {exc}") from exc
     try:
         net = parse_bnet(text)
     except BnetError as exc:
@@ -61,7 +63,8 @@ def _get_attractors(ts, args):
     if args.attractor_file:
         path = args.attractor_file
         try:
-            seeds = load_attractor_seeds(Path(path).read_text())
+            seeds = load_attractor_seeds(
+                Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
             raise DomainError(str(exc)) from exc
         except ValueError as exc:  # not UTF-8, not JSON or not a seed list
@@ -279,13 +282,27 @@ _SUBCOMMANDS = {
 }
 
 
-def make_parser() -> argparse.ArgumentParser:
+def make_parser(command=None) -> argparse.ArgumentParser:
+    """The CLI parser; with the name of a subcommand, one that knows only
+    that subcommand, whose messages are those of the full parser for any
+    arguments that start with that name."""
     parser = argparse.ArgumentParser(
         prog="basinscope",
         description="Symbolic attractor, basin, commitment and phenotype "
                     "analysis of Boolean networks.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, flags) in _SUBCOMMANDS.items():
+    if command in _SUBCOMMANDS:
+        # the metavar keeps every subcommand in the top-level usage, which
+        # "unrecognized arguments" prints; the full parser names the action
+        # `command` in its own errors, so it takes none
+        names = [command]
+        sub = parser.add_subparsers(
+            dest="command", required=True,
+            metavar="{" + ",".join(_SUBCOMMANDS) + "}")
+    else:
+        names = _SUBCOMMANDS
+        sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        func, flags = _SUBCOMMANDS[name]
         p = sub.add_parser(name)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
@@ -294,7 +311,9 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = make_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = make_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -81,17 +81,25 @@ class TransitionSystem:
     # -- reachability closures ---------------------------------------------
 
     def _reach(self, step, x: int, within: int | None = None) -> int:
-        """Least fixpoint of Z = x | (step(Z) & within), grown one frontier
-        at a time; step is image_ref or preimage_ref."""
+        """Least fixpoint of Z = x | (step(Z) & within); step is image_ref
+        or preimage_ref.  The k-th iterate is x plus the states that at
+        most k steps from x reach through within, and each step is taken
+        from the whole iterate, not from its frontier (the states first
+        reached in the last step).
+
+        Any set between the frontier and the reached set gives the same
+        iterates: step distributes over union, and step of the previous
+        iterate, within `within`, already lies in the current one.  So the
+        iterates and the number of steps are those of the frontier form,
+        but the reached set's diagram is the smaller one: on rings the
+        frontier's is about twice its size, and so is its image."""
         m = self.manager
-        reached = x
-        frontier = x
-        while frontier != 0:
-            new = m.apply(OP_DIFF, step(frontier), reached)
+        reached = new = x
+        while new != 0:
+            new = m.apply(OP_DIFF, step(reached), reached)
             if within is not None:
                 new = m.apply(OP_AND, new, within)
             reached = m.apply(OP_OR, reached, new)
-            frontier = new
         return reached
 
     def gfp_ref(self, step, x: int) -> int:

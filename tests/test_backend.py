@@ -23,12 +23,17 @@ def run_python(code, path, backend=None, returncode=0, flags=()):
     """Run code in a fresh interpreter, started with the given flags, that
     imports basinscope from path, with BASINSCOPE_DD_BACKEND set to backend
     (unset for None); returns the finished process."""
+    return run_interpreter([*flags, "-c", code], path, backend, returncode)
+
+
+def run_interpreter(args, path, backend=None, returncode=0):
+    """Run a fresh interpreter with the given arguments, as run_python."""
     env = {k: v for k, v in os.environ.items()
            if k not in ("BASINSCOPE_DD_BACKEND", "PYTHONPATH")}
     env["PYTHONPATH"] = str(path)
     if backend is not None:
         env["BASINSCOPE_DD_BACKEND"] = backend
-    proc = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == returncode, proc.stderr
     return proc
@@ -110,6 +115,49 @@ def test_simulate_leaves_openssl_unloaded(tmp_path):
         "assert '_hashlib' not in sys.modules\n",
         PACKAGE.parent)
 
+
+
+def test_cli_runs_as_a_module(tmp_path):
+    """`python -m basinscope` runs the CLI from a source checkout, under
+    the CLI's own name."""
+    model = tmp_path / "toggle.bnet"
+    model.write_text(TOGGLE)
+    backend = os.environ.get("BASINSCOPE_DD_BACKEND")
+    proc = run_interpreter(
+        ["-m", "basinscope", "attractors", "--bnet", str(model), "--json",
+         "-"], PACKAGE.parent, backend)
+    assert '"representative": "01"' in proc.stdout
+    proc = run_interpreter(["-m", "basinscope", "bogus"], PACKAGE.parent,
+                           backend, returncode=2)
+    assert proc.stderr.startswith("usage: basinscope ")
+
+
+def test_files_are_read_and_written_as_utf8(tmp_path):
+    """No file the CLI reads or writes takes the locale's encoding: every
+    subcommand, with every file option, runs with EncodingWarning as an
+    error."""
+    model = tmp_path / "toggle.bnet"
+    model.write_text(TOGGLE)
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text('["01", "10"]')
+    common = ["--bnet", str(model), "--json", str(tmp_path / "out.json")]
+    runs = [
+        ["attractors", *common, "--attractor-file", str(seeds)],
+        ["basins", *common, "--svg", str(tmp_path / "b.svg")],
+        ["commitment", *common, "--dot", str(tmp_path / "c.dot"),
+         "--svg", str(tmp_path / "c.svg")],
+        ["phenotypes", *common, "--markers", "a",
+         "--dot", str(tmp_path / "p.dot"), "--svg", str(tmp_path / "p.svg")],
+        ["check", *common, "--ctl", "EF(a)"],
+        ["render", "--bnet", str(model), "--dot", str(tmp_path / "s.dot")],
+        ["simulate", *common, "--markers", "a", "--walks", "20"],
+    ]
+    run_python(
+        "from basinscope.cli import run\n"
+        f"for argv in {runs!r}:\n"
+        "    assert run(argv) == 0, argv\n",
+        PACKAGE.parent, os.environ.get("BASINSCOPE_DD_BACKEND"),
+        flags=["-X", "warn_default_encoding", "-W", "error::EncodingWarning"])
 
 # the modules that `import basinscope.cli` loads, the start-up path that
 # the benchmark times as setup_s: the package's own, one of the two

@@ -84,6 +84,33 @@ def test_usage_error_exit_code(toggle_file, capsys):
     assert exc.value.code == 2
 
 
+
+def parse_outcome(parser, argv, capsys):
+    try:
+        parser.parse_args(argv)
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["bogus"], ["basins", "-h"],
+    ["basins", "--bnet", "x", "--frob"], ["basins", "--bnet", "x", "extra"], ["check", "--bnet", "x"],
+    ["attractors", "--bnet", "x", "--update", "foo"],
+    ["simulate", "--bnet", "x", "--markers", "a", "--walks", "z"],
+])
+def test_one_subcommand_parser_prints_what_the_full_one_does(argv, monkeypatch,
+                                                             capsys):
+    """run builds the parser of the named subcommand only; its usage, help
+    and error messages are those of the parser of all subcommands."""
+    monkeypatch.setenv("COLUMNS", "80")
+    full = parse_outcome(cli.make_parser(), argv, capsys)
+    assert full[0] is not None
+    lean = cli.make_parser(argv[0] if argv else None)
+    assert parse_outcome(lean, argv, capsys) == full
+
 def test_domain_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.bnet"
     bad.write_text("a, !b\n")
@@ -266,6 +293,15 @@ def test_attractor_file_errors_name_the_file(text, message, toggle_file,
                 "--attractor-file", str(seeds)]) == 1
     assert one_line_error(capsys) == f"error: {seeds}: {message}\n"
 
+
+
+def test_non_utf8_model_names_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.bnet"
+    bad.write_bytes(b"\xff a, a\n")
+    assert run(["attractors", "--bnet", str(bad)]) == 1
+    assert one_line_error(capsys) == (
+        f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n")
 
 def test_duplicate_attractor_seeds_are_one_line_error(toggle_file, tmp_path,
                                                       capsys):

@@ -446,7 +446,7 @@ def analyse(kernel_cls, monkeypatch, net, node_limit=None, order=None):
 
 
 @pytest.mark.parametrize("seed, n, node_limit", [
-    (6, 10, None), (2, 11, None), (2, 11, 5000)])
+    (1, 11, None), (2, 11, None), (2, 11, 5000)])
 def test_pipeline_matches_node_for_node(kernel_c, monkeypatch, seed, n,
                                         node_limit):
     """Whole analyses, in the declaration order and in FORCE order, match

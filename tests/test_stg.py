@@ -5,8 +5,8 @@ import pytest
 from basinscope.model import eval_expr, parse_bnet
 from basinscope.stg import UpdateMode, build, steady_states
 from oracle import (
-    all_states, bits_of, explicit_stg, random_network, successors,
-    with_van_ham_pair)
+    all_states, bits_of, explicit_stg, oracle_cases, random_network,
+    reverse_graph, successors, with_van_ham_pair)
 
 
 def relation_pairs(ts):
@@ -88,6 +88,53 @@ def test_relation_matches_explicit_construction(mode):
             assert relation_pairs(ts) == {
                 (s, t) for s, succ in adj.items() for t in succ}
 
+
+
+def explicit_iterates(adj, x, within):
+    """x, then x plus its successors in adj that lie in within, and so on
+    until nothing is added: the sets of states within distance k of x."""
+    reached = set(x)
+    iterates = [frozenset(reached)]
+    while True:
+        new = {t for s in reached for t in adj[s]} - reached
+        if within is not None:
+            new &= within
+        if not new:
+            return iterates
+        reached |= new
+        iterates.append(frozenset(reached))
+
+
+@pytest.mark.parametrize("mode", ["async", "sync"])
+def test_reach_steps_from_each_iterate(mode, manager_on):
+    """Each step of a reachability fixpoint is taken from the whole set
+    reached so far, the k-th from the states within distance k of x, and
+    the steps stop at the first that adds nothing; no step is taken from
+    an empty x."""
+    rng = random.Random(31)
+    for net in oracle_cases(13, 6):
+        ts = build(net, UpdateMode(mode))
+        adj = explicit_stg(net, mode)
+        states = sorted(adj)
+        m = ts.manager
+        for name, graph in (("image_ref", adj),
+                            ("preimage_ref", reverse_graph(adj))):
+            args = []
+
+            def step(ref, step=getattr(ts, name)):
+                args.append(frozenset(m.iter_states(ref)))
+                return step(ref)
+
+            for _ in range(6):
+                x = rng.sample(states, rng.randrange(len(states) // 2 + 1))
+                within = (None if rng.random() < 0.5 else set(
+                    rng.sample(states, rng.randrange(len(states) + 1))))
+                within_ref = None if within is None else m.from_states(within)
+                args.clear()
+                reached = ts._reach(step, m.from_states(x), within_ref)
+                expected = explicit_iterates(graph, x, within)
+                assert args == (expected if x else [])
+                assert set(m.iter_states(reached)) == expected[-1]
 
 def test_duality_image_preimage():
     rng = random.Random(99)
