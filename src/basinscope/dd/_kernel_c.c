@@ -9,9 +9,8 @@
  * table grows with the unique table up to CACHE_MAX_SLOTS entries.  A
  * parallel byte array of flags records, per node, whether a primed slot
  * occurs at or below it, so that the state-level walks reject primed
- * diagrams in O(1); its MARK bit is scratch for one search and clear
- * between calls.  The variable order[p] occupies levels 2p (unprimed) and
- * 2p + 1 (primed), and the order defaults to the declaration order.
+ * diagrams in O(1).  The variable order[p] occupies levels 2p (unprimed)
+ * and 2p + 1 (primed), and the order defaults to the declaration order.
  * Quantification has one recursion, the relational product and_exists
  * (after CUDD's Cudd_bddAndAbstract); quantifying a single diagram is its
  * product with TRUE.
@@ -38,7 +37,7 @@ enum { TAG_AND_EXISTS = 4, TAG_SHIFT = 6 };
 #define MAX_NODES 0x7FFFFFFELL
 
 /* the per-node flags */
-enum { PRIMED = 1, MARK = 2 };
+enum { PRIMED = 1 };
 
 typedef struct {
     int32_t level, low, high, next;
@@ -180,7 +179,7 @@ static int32_t mk(Kernel *k, int32_t level, int32_t low, int32_t high)
     nd->high = high;
     nd->next = k->buckets[h];
     k->buckets[h] = id;
-    k->flags[id] = ((k->flags[low] | k->flags[high]) & PRIMED) | (level & 1);
+    k->flags[id] = k->flags[low] | k->flags[high] | (level & 1);
     k->size = id + 1;
     if ((uint32_t)k->size > k->bucket_mask + 1)
         grow_tables(k);
@@ -362,6 +361,74 @@ static PyObject *count_states(Kernel *k, int32_t f)
     Py_XDECREF(c);
     Py_XDECREF(by);
     return res;
+}
+
+/* whether the state y comes before x in the lexicographic order of their
+ * bit strings: x has 1 at the first variable where they differ; -1 with an
+ * exception set */
+static int precedes(PyObject *y, PyObject *x)
+{
+    PyObject *d = PyNumber_Xor(x, y);
+    PyObject *neg = d == NULL ? NULL : PyNumber_Negative(d);
+    PyObject *first = neg == NULL ? NULL : PyNumber_And(d, neg);
+    PyObject *at = first == NULL ? NULL : PyNumber_And(x, first);
+    int r = at == NULL ? -1 : PyObject_IsTrue(at);
+    Py_XDECREF(d);
+    Py_XDECREF(neg);
+    Py_XDECREF(first);
+    Py_XDECREF(at);
+    return r;
+}
+
+/* the smallest state of g, with the variables that g skips at 0, as a new
+ * reference (None for FALSE): the smaller of the picks of its low and high
+ * child, the latter with g's variable set; memo maps node ids to their
+ * picks, as in _kernel_py */
+static PyObject *pick(Kernel *k, PyObject *memo, int32_t g)
+{
+    if (g == 0)
+        Py_RETURN_NONE;
+    if (g == 1)
+        return PyLong_FromLong(0);
+    PyObject *key = PyLong_FromLong(g);
+    if (key == NULL)
+        return NULL;
+    PyObject *x = PyDict_GetItemWithError(memo, key);
+    if (x != NULL || PyErr_Occurred()) {
+        Py_XINCREF(x);
+        Py_DECREF(key);
+        return x;
+    }
+    Node nd = k->nodes[g];
+    x = pick(k, memo, nd.low);
+    PyObject *y = x == NULL ? NULL : pick(k, memo, nd.high);
+    if (y == NULL) {
+        Py_CLEAR(x);
+    } else if (y != Py_None) {
+        PyObject *one = PyLong_FromLong(1);
+        PyObject *v = one == NULL ? NULL
+                                  : PyLong_FromLong(k->order[nd.level >> 1]);
+        PyObject *bit = v == NULL ? NULL : PyNumber_Lshift(one, v);
+        PyObject *high = bit == NULL ? NULL : PyNumber_Or(y, bit);
+        Py_XDECREF(one);
+        Py_XDECREF(v);
+        Py_XDECREF(bit);
+        Py_DECREF(y);
+        y = high;
+        int wins = y == NULL ? -1 : x == Py_None ? 1 : precedes(y, x);
+        if (wins == 1) {
+            Py_DECREF(x);
+            x = y;
+            y = NULL;
+        } else if (wins < 0) {
+            Py_CLEAR(x);
+        }
+    }
+    Py_XDECREF(y);
+    if (x != NULL && PyDict_SetItem(memo, key, x) < 0)
+        Py_CLEAR(x);
+    Py_DECREF(key);
+    return x;
 }
 
 /* -- Python argument conversion ------------------------------------------ */
@@ -694,98 +761,6 @@ static PyObject *Kernel_count_states(Kernel *self, PyObject *arg)
     return count_states(self, f);
 }
 
-/* a growable array of node ids */
-typedef struct {
-    int32_t *ids;
-    size_t len, cap;
-} Ids;
-
-static int ids_push(Ids *a, int32_t id)
-{
-    if (a->len == a->cap) {
-        size_t cap = a->cap ? 2 * a->cap : 64;
-        int32_t *ids = realloc(a->ids, cap * sizeof(int32_t));
-        if (ids == NULL) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        a->ids = ids;
-        a->cap = cap;
-    }
-    a->ids[a->len++] = id;
-    return 0;
-}
-
-/* an entry of the search path: a node and how many branches it tried */
-typedef struct {
-    int32_t g;
-    int tried;
-} Step;
-
-/* A packed state of f that agrees with w on the variables before v and has
- * 0 at v, into y, as _kernel_py.Kernel._search: a depth-first search, low
- * branch first, along one path of at most n + 1 steps.  The path follows w
- * at the variables before v and the low branch at v, and tries both
- * branches at the others, which it sets as it found them.  It marks each
- * node it reaches, lists it in seen and clears the marks before it returns
- * 1 (found), 0 (none), or -1 with an exception set. */
-static int search(Kernel *k, int32_t f, const uint64_t *w, int32_t v,
-                  uint64_t *y, Step *path, Ids *seen)
-{
-    size_t words = state_words(k), depth = 1;
-    int found = 0;
-    seen->len = 0;
-    if (ids_push(seen, f) < 0)
-        return -1;
-    k->flags[f] |= MARK;
-    path[0] = (Step){f, 0};
-    while (depth > 0) {
-        Step *e = &path[depth - 1];
-        int32_t g = e->g;
-        if (g == 1) {
-            /* w before v, then the high branches of the path */
-            for (size_t t = 0; t < words; t++) {
-                int32_t below = v - 64 * (int32_t)t;
-                y[t] = below >= 64 ? w[t]
-                       : below > 0 ? w[t] & ((1ULL << below) - 1) : 0;
-            }
-            for (size_t d = 0; d + 1 < depth; d++) {
-                int32_t u = k->order[k->nodes[path[d].g].level >> 1];
-                if (u > v && path[d].tried == 2)
-                    y[u >> 6] |= 1ULL << (u & 63);
-            }
-            found = 1;
-            break;
-        }
-        Node nd = k->nodes[g];
-        int32_t u = k->order[nd.level >> 1];
-        int tried = e->tried++;
-        if (tried == 0)
-            g = u < v && (w[u >> 6] >> (u & 63)) & 1 ? nd.high : nd.low;
-        else if (tried == 1 && u > v)
-            g = nd.high;
-        else {
-            depth--;
-            continue;
-        }
-        if (g == 0 || k->flags[g] & MARK)
-            continue;
-        k->flags[g] |= MARK;
-        if (ids_push(seen, g) < 0) {
-            found = -1;
-            break;
-        }
-        path[depth++] = (Step){g, 0};
-    }
-    for (size_t i = 0; i < seen->len; i++)
-        k->flags[seen->ids[i]] &= (uint8_t)~MARK;
-    return found;
-}
-
-/* variable by variable in declaration order, 0 unless f holds no state that
- * agrees with the values so far: a witness, a state of f that agrees with
- * them, settles each variable where it has 0; where it has 1, a search for
- * a state with 0 there gives the next witness, or finds none and keeps it */
 static PyObject *Kernel_pick_min_state(Kernel *self, PyObject *arg)
 {
     int32_t f;
@@ -798,32 +773,10 @@ static PyObject *Kernel_pick_min_state(Kernel *self, PyObject *arg)
     }
     if (check_unprimed(self, f) < 0)
         return NULL;
-    size_t words = state_words(self);
-    uint64_t *x = calloc(2 * words + 2, sizeof(uint64_t));
-    uint64_t *y = x == NULL ? NULL : x + words + 1;
-    Step *path = malloc(((size_t)self->n + 1) * sizeof(Step));
-    Ids seen = {NULL, 0, 0};
-    int found = -1;
-    if (x == NULL || path == NULL)
-        PyErr_NoMemory();
-    else
-        found = search(self, f, y, -1, x, path, &seen);
-    /* one conjunction of literals: x has 0 at each free variable */
-    int32_t g = f;
-    while (g >= 2 && (self->nodes[g].low == 0 || self->nodes[g].high == 0))
-        g = self->nodes[g].low | self->nodes[g].high;
-    for (int32_t v = 0; found >= 0 && g != 1 && v < self->n; v++) {
-        if (!((x[v >> 6] >> (v & 63)) & 1))
-            continue;
-        found = search(self, f, x, v, y, path, &seen);
-        if (found == 1)
-            memcpy(x, y, words * sizeof(uint64_t));
-    }
-    PyObject *state = found < 0 ? NULL : pack_state(x, words);
-    free(x);
-    free(path);
-    free(seen.ids);
-    return state;
+    PyObject *memo = PyDict_New();
+    PyObject *x = memo == NULL ? NULL : pick(self, memo, f);
+    Py_XDECREF(memo);
+    return x;
 }
 
 /* the terminal that the packed state x reaches in the unprimed diagram f */

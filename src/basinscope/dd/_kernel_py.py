@@ -239,64 +239,34 @@ class Kernel:
 
     def pick_min_state(self, f: int) -> int:
         """The packed state of f whose bit string is lexicographically
-        smallest (0 < 1).  Variable by variable in declaration order, it
-        is 0 unless f holds no state that agrees with the values so far.
-        A witness, a state of f that agrees with them, settles each
-        variable where it has 0; where it has 1, a search for a state with
-        0 there gives the next witness, or finds none and keeps it."""
+        smallest (0 < 1), folded bottom-up over f as in count_states."""
         if f == 0:
             raise ValueError("cannot pick a state from the empty set")
         self._check_unprimed(f)
-        x = self._search(f, 0, -1)
-        if self._is_cube(f):  # x has 0 at each free variable
-            return x
-        for v in range(self.n):
-            if (x >> v) & 1:
-                y = self._search(f, x, v)
-                if y is not None:
-                    x = y
-        return x
-
-    def _is_cube(self, f: int) -> bool:
-        """Whether f is one conjunction of literals: each node on its path
-        to TRUE has a FALSE branch."""
-        low, high = self._low, self._high
-        while f >= 2 and (low[f] == 0 or high[f] == 0):
-            f = low[f] or high[f]
-        return f == 1
-
-    def _search(self, f: int, w: int, v: int) -> int | None:
-        """A packed state of f that agrees with w on the variables before v
-        and has 0 at v, or None: a depth-first search, low branch first,
-        along one path of (node, branches tried) entries.  The path follows
-        w at the variables before v and the low branch at v, and tries
-        both branches at the others, which it sets as it found them."""
         order, level, low, high = self.order, self._level, self._low, self._high
-        path = [[f, 0]]
-        seen = {f}
-        while path:
-            entry = path[-1]
-            g, tried = entry
-            if g == 1:
-                y = w & ((1 << max(v, 0)) - 1)
-                for g, tried in path[:-1]:
-                    u = order[level[g] >> 1]
-                    if u > v and tried == 2:
-                        y |= 1 << u
-                return y
-            u = order[level[g] >> 1]
-            entry[1] += 1
-            if tried == 0:
-                g = high[g] if u < v and (w >> u) & 1 else low[g]
-            elif tried == 1 and u > v:
-                g = high[g]
-            else:
-                path.pop()
+        # best[g] is the smallest state of g with the variables that g skips
+        # at 0: the smaller of best[low] and best[high] with g's variable
+        # set, where the first variable at which the two differ decides
+        best = {0: None, 1: 0}
+        stack = [f]
+        while stack:
+            g = stack[-1]
+            if g in best:
+                stack.pop()
                 continue
-            if g != 0 and g not in seen:
-                seen.add(g)
-                path.append([g, 0])
-        return None
+            lo, hi = low[g], high[g]
+            if lo in best and hi in best:
+                x, y = best[lo], best[hi]
+                if y is not None:
+                    y |= 1 << order[level[g] >> 1]
+                    if x is None or x & (d := x ^ y) & -d:
+                        x = y
+                best[g] = x
+                stack.pop()
+            else:
+                stack.append(lo)
+                stack.append(hi)
+        return best[f]
 
     def states(self, f: int) -> list[int]:
         """The packed states of f, in lexicographic order of their bit

@@ -30,9 +30,36 @@ def test_chain_three_steady(chain_ts):
     assert [a.representative for a in attrs] == ["00", "10", "11"]
 
 
+class CountingKernel:
+    """A kernel that records each of its pick_min_state calls."""
+
+    def __init__(self, kernel, calls):
+        self._kernel, self._calls = kernel, calls
+
+    def __getattr__(self, name):
+        return getattr(self._kernel, name)
+
+    def pick_min_state(self, f):
+        self._calls.append("kernel")
+        return self._kernel.pick_min_state(f)
+
+
+def record_picks(ts, monkeypatch):
+    """The pick_min_state calls on the manager of ts and on its kernel, in
+    order; a pick on the manager also records the kernel pick it makes."""
+    calls = []
+    m = ts.manager
+    monkeypatch.setattr(m, "kernel", CountingKernel(m.kernel, calls))
+    pick = m.pick_min_state
+    monkeypatch.setattr(m, "pick_min_state",
+                        lambda f: calls.append("manager") or pick(f))
+    return calls
+
+
 def test_steady_only_detection_takes_no_pivot(chain_ts, monkeypatch):
-    """Three steady states and no cycle: no forward reach, and at most one
-    backward reach per steady state."""
+    """Three steady states and no cycle: no forward reach, at most one
+    backward reach per steady state, and no pick, since each loop is its
+    own representative."""
     calls = []
     for name in ("forward_reach_ref", "backward_reach_ref"):
         reach = getattr(chain_ts, name)
@@ -40,9 +67,24 @@ def test_steady_only_detection_takes_no_pivot(chain_ts, monkeypatch):
             chain_ts, name,
             lambda *args, name=name, reach=reach:
                 calls.append(name) or reach(*args))
+    picks = record_picks(chain_ts, monkeypatch)
     assert len(attractors(chain_ts)) == 3
     assert "forward_reach_ref" not in calls
     assert 0 < calls.count("backward_reach_ref") <= 3
+    assert picks == []
+
+
+def test_sync_detection_picks_once_per_cycle(toggle_net, monkeypatch):
+    """Synchronously the toggle has a 2-cycle beside two steady states: one
+    kernel pick names the cycle, and the loops and the numbering take
+    none."""
+    ts = build(toggle_net, UpdateMode.SYNC)
+    picks = record_picks(ts, monkeypatch)
+    attrs = attractors(ts)
+    assert picks == ["kernel"]
+    expected = terminal_sccs(explicit_stg(toggle_net, "sync"))
+    assert [a.representative for a in attrs] == [scc[0] for scc in expected]
+    assert [a.size for a in attrs] == [2, 1, 1]
 
 
 def test_steady_equals_union_of_steady_attractors(chain_ts):

@@ -146,7 +146,7 @@ def walks(kernel, f):
 
 
 @settings(max_examples=100, deadline=None)
-@given(steps=STEPS, n_vars=st.integers(1, 4), data=st.data())
+@given(steps=STEPS, n_vars=st.integers(1, 8), data=st.data())
 def test_state_walks_match(kernel_c, steps, n_vars, data):
     """The walks agree on both kernels under the same variable order, and
     list and pick states in the order of their bit strings."""
