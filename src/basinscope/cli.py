@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -282,41 +283,28 @@ _SUBCOMMANDS = {
 }
 
 
-def make_parser(command=None) -> argparse.ArgumentParser:
-    """The CLI parser; with the name of a subcommand, one that knows only
-    that subcommand, whose messages are those of the full parser for any
-    arguments that start with that name."""
+def make_parser() -> argparse.ArgumentParser:
+    """The CLI parser, one subparser per entry of _SUBCOMMANDS."""
     parser = argparse.ArgumentParser(
         prog="basinscope",
         description="Symbolic attractor, basin, commitment and phenotype "
                     "analysis of Boolean networks.")
-    if command in _SUBCOMMANDS:
-        # the metavar keeps every subcommand in the top-level usage, which
-        # "unrecognized arguments" prints; the full parser names the action
-        # `command` in its own errors, so it takes none
-        names = [command]
-        sub = parser.add_subparsers(
-            dest="command", required=True,
-            metavar="{" + ",".join(_SUBCOMMANDS) + "}")
-    else:
-        names = _SUBCOMMANDS
-        sub = parser.add_subparsers(dest="command", required=True)
-    for name in names:
-        func, flags = _SUBCOMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
-        p.set_defaults(func=func)
     return parser
 
 
+# built by the first run, not at import; later runs in the process reuse it
+_parser = functools.cache(make_parser)
+
+
 def run(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = make_parser(argv[0] if argv else None)
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _SUBCOMMANDS[args.command][0](args)
     except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -213,13 +213,11 @@ class Kernel:
         if self._primed[f]:
             raise ValueError("diagram references primed slots")
 
-    def count_states(self, f: int) -> int:
-        """Number of satisfying states over the n unprimed variables."""
-        self._check_unprimed(f)
+    def _fold(self, f: int, memo: dict, combine):
+        """memo[f], folded bottom-up over f on an explicit stack: a node g
+        gets combine(level, memo[low], memo[high]) of its children.  memo
+        holds the terminals' values and keeps every value folded."""
         level, low, high = self._level, self._low, self._high
-        # memo[g] counts the assignments to the variables from level[g] // 2
-        # on; the terminals' sentinel level 2n stands for index n
-        memo = {0: 0, 1: 1}
         stack = [f]
         while stack:
             g = stack[-1]
@@ -228,14 +226,19 @@ class Kernel:
                 continue
             lo, hi = low[g], high[g]
             if lo in memo and hi in memo:
-                below = (level[g] >> 1) + 1
-                memo[g] = ((memo[lo] << ((level[lo] >> 1) - below))
-                           + (memo[hi] << ((level[hi] >> 1) - below)))
+                memo[g] = combine(level[g], memo[lo], memo[hi])
                 stack.pop()
             else:
-                stack.append(lo)
-                stack.append(hi)
-        return memo[f] << (level[f] >> 1)
+                stack += (lo, hi)
+        return memo[f]
+
+    def count_states(self, f: int) -> int:
+        """Number of satisfying states over the n unprimed variables."""
+        self._check_unprimed(f)
+        # a node counts the states of its function over all n variables:
+        # its variable is 0 in half of low's and 1 in half of high's
+        return self._fold(f, {0: 0, 1: 1 << self.n},
+                          lambda lvl, x, y: (x + y) >> 1)
 
     def pick_min_state(self, f: int) -> int:
         """The packed state of f whose bit string is lexicographically
@@ -243,30 +246,18 @@ class Kernel:
         if f == 0:
             raise ValueError("cannot pick a state from the empty set")
         self._check_unprimed(f)
-        order, level, low, high = self.order, self._level, self._low, self._high
-        # best[g] is the smallest state of g with the variables that g skips
-        # at 0: the smaller of best[low] and best[high] with g's variable
-        # set, where the first variable at which the two differ decides
-        best = {0: None, 1: 0}
-        stack = [f]
-        while stack:
-            g = stack[-1]
-            if g in best:
-                stack.pop()
-                continue
-            lo, hi = low[g], high[g]
-            if lo in best and hi in best:
-                x, y = best[lo], best[hi]
-                if y is not None:
-                    y |= 1 << order[level[g] >> 1]
-                    if x is None or x & (d := x ^ y) & -d:
-                        x = y
-                best[g] = x
-                stack.pop()
-            else:
-                stack.append(lo)
-                stack.append(hi)
-        return best[f]
+        order = self.order
+
+        # the smallest state of a node with the variables that it skips at
+        # 0: the smaller of low's and high's with its variable set, where
+        # the first variable at which the two differ decides
+        def smaller(lvl, x, y):
+            if y is None:
+                return x
+            y |= 1 << order[lvl >> 1]
+            return y if x is None or x & (d := x ^ y) & -d else x
+
+        return self._fold(f, {0: None, 1: 0}, smaller)
 
     def states(self, f: int) -> list[int]:
         """The packed states of f, in lexicographic order of their bit

@@ -52,30 +52,17 @@ def dnf_states(m: DdManager, f: int) -> BoolExpr:
 
 def factored(m: DdManager, f: int) -> BoolExpr:
     """Nested expression mirroring the diagram: (v & high) | (!v & low)."""
-    memo: dict[int, BoolExpr] = {0: Const(0), 1: Const(1)}
-    # post-order on an explicit stack, high branch first
-    stack = [f]
-    while stack:
-        g = stack[-1]
-        if g in memo:
-            stack.pop()
-            continue
-        lvl, lo, hi = m.node(g)
-        if hi not in memo:
-            stack.append(hi)
-            continue
-        if lo not in memo:
-            stack.append(lo)
-            continue
-        stack.pop()
+
+    def term(lvl, lo, hi):
         v = Var(m.var_at(lvl))
         terms = []
-        if hi != 0:
-            terms.append(v if hi == 1 else make_and([v, memo[hi]]))
-        if lo != 0:
-            terms.append(Not(v) if lo == 1 else make_and([Not(v), memo[lo]]))
-        memo[g] = make_or(terms)
-    return memo[f]
+        if hi != Const(0):
+            terms.append(v if hi == Const(1) else make_and([v, hi]))
+        if lo != Const(0):
+            terms.append(Not(v) if lo == Const(1) else make_and([Not(v), lo]))
+        return make_or(terms)
+
+    return m._fold(f, {0: Const(0), 1: Const(1)}, term)
 
 
 def isop_cover(m: DdManager, f: int) -> list[dict[int, int]]:

@@ -126,21 +126,8 @@ class DdManager:
         """Quantify a set of slot levels away."""
         slots = frozenset(slots)
         k = self.kernel
-        memo: dict[int, int] = {}
-
-        def rec(g: int) -> int:
-            if g < 2:
-                return g
-            cached = memo.get(g)
-            if cached is not None:
-                return cached
-            lvl = k.level_of(g)
-            r0, r1 = rec(k.low_of(g)), rec(k.high_of(g))
-            res = k.apply(OP_OR, r0, r1) if lvl in slots else k.mk(lvl, r0, r1)
-            memo[g] = res
-            return res
-
-        return rec(f)
+        return self._fold(f, {0: 0, 1: 1}, lambda lvl, r0, r1: (
+            k.apply(OP_OR, r0, r1) if lvl in slots else k.mk(lvl, r0, r1)))
 
     def exists_unprimed(self, f: int, g: int = 1) -> int:
         """Quantify the unprimed slots of f & g (g defaults to TRUE) without
@@ -180,9 +167,22 @@ class DdManager:
         if self._declared is None:
             self._declared = (DdManager(self.n), {0: 0, 1: 1})
         d, memo = self._declared
-        k, dk = self.kernel, d.kernel
-        # post-order on an explicit stack; each node becomes
-        # (v & high) | (low & !v) over the copies of its children
+        dk = d.kernel
+
+        # each node becomes (v & high) | (low & !v) over the copies of its
+        # children
+        def copy(lvl, lo, hi):
+            v = d.var(self.var_at(lvl))
+            return dk.apply(OP_OR, dk.apply(OP_AND, v, hi),
+                            dk.apply(OP_DIFF, lo, v))
+
+        return d, self._fold(f, memo, copy)
+
+    def _fold(self, f: int, memo: dict, combine):
+        """memo[f], folded bottom-up over f on an explicit stack: a node g
+        gets combine(level, memo[low], memo[high]) of its children.  memo
+        holds the terminals' values and keeps every value folded."""
+        k = self.kernel
         stack = [f]
         while stack:
             g = stack[-1]
@@ -190,14 +190,12 @@ class DdManager:
                 stack.pop()
                 continue
             lo, hi = k.low_of(g), k.high_of(g)
-            if lo not in memo or hi not in memo:
+            if lo in memo and hi in memo:
+                memo[g] = combine(k.level_of(g), memo[lo], memo[hi])
+                stack.pop()
+            else:
                 stack += (lo, hi)
-                continue
-            stack.pop()
-            v = d.var(self.var_at(k.level_of(g)))
-            memo[g] = dk.apply(OP_OR, dk.apply(OP_AND, v, memo[hi]),
-                               dk.apply(OP_DIFF, memo[lo], v))
-        return d, memo[f]
+        return memo[f]
 
     # -- state-level operations (walked by the kernel) ---------------------
     # The kernel takes and returns packed states; the bit strings of the

@@ -200,3 +200,13 @@ def test_cli_import_loads_only_the_pinned_modules():
     stdlib = {m.split(".")[0] for m in loaded - package
               if not m.startswith("_")}
     assert stdlib <= CLI_STDLIB, sorted(stdlib - CLI_STDLIB)
+
+
+def test_cli_import_builds_no_parser():
+    """The parser is built by the first run, not at import, where it
+    would count in setup_s."""
+    proc = run_python(
+        "from basinscope import cli\n"
+        "print(cli._parser.cache_info().currsize)\n",
+        PACKAGE.parent, os.environ.get("BASINSCOPE_DD_BACKEND"))
+    assert proc.stdout == "0\n"

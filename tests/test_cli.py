@@ -95,21 +95,42 @@ def parse_outcome(parser, argv, capsys):
     return code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("argv", [
+PARSER_ARGVS = [
     [], ["-h"], ["bogus"], ["basins", "-h"],
-    ["basins", "--bnet", "x", "--frob"], ["basins", "--bnet", "x", "extra"], ["check", "--bnet", "x"],
+    ["basins", "--bnet", "x", "--frob"], ["basins", "--bnet", "x", "extra"],
+    ["check", "--bnet", "x"],
     ["attractors", "--bnet", "x", "--update", "foo"],
     ["simulate", "--bnet", "x", "--markers", "a", "--walks", "z"],
-])
+]
+
+
+# the test keeps the name, and so the ids, it had when run built a parser
+# of the named subcommand only
+@pytest.mark.parametrize("argv", PARSER_ARGVS)
 def test_one_subcommand_parser_prints_what_the_full_one_does(argv, monkeypatch,
                                                              capsys):
-    """run builds the parser of the named subcommand only; its usage, help
-    and error messages are those of the parser of all subcommands."""
+    """run keeps one parser for the process; after it has parsed every
+    argv, its exit code, usage, help and error messages for argv are those
+    of a parser built anew."""
     monkeypatch.setenv("COLUMNS", "80")
-    full = parse_outcome(cli.make_parser(), argv, capsys)
-    assert full[0] is not None
-    lean = cli.make_parser(argv[0] if argv else None)
-    assert parse_outcome(lean, argv, capsys) == full
+    for other in PARSER_ARGVS:
+        parse_outcome(cli._parser(), other, capsys)
+    kept = parse_outcome(cli._parser(), argv, capsys)
+    assert kept[0] is not None
+    assert parse_outcome(cli.make_parser(), argv, capsys) == kept
+
+
+def test_subcommands_are_dispatched_by_name(toggle_file, monkeypatch,
+                                            capsys):
+    """A _SUBCOMMANDS entry replaced after the parser was built is the one
+    that runs."""
+    run_json(capsys, ["attractors", "--bnet", toggle_file, "--json", "-"])
+    called = []
+    monkeypatch.setitem(cli._SUBCOMMANDS, "attractors",
+                        (called.append, cli._SUBCOMMANDS["attractors"][1]))
+    assert run(["attractors", "--bnet", toggle_file]) is None
+    assert [args.bnet for args in called] == [toggle_file]
+
 
 def test_domain_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.bnet"

@@ -411,6 +411,12 @@ def test_export_of_a_deep_diagram(manager_on, style):
         [Var(i) for i in range(n)])
 
 
+def test_quantification_of_a_deep_diagram(manager_on):
+    """exists folds over the diagram without recursing in Python."""
+    m = manager_on(1200)
+    assert m.count_states(m.exists({0}, m.cube(2 ** 1200 - 1))) == 2
+
+
 def test_walks_reject_a_deep_primed_node(manager_on):
     m = manager_on(4)
     k = m.kernel
