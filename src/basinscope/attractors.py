@@ -41,19 +41,22 @@ def _scc(ts: TransitionSystem, pivot: int) -> tuple[int, int]:
 
 
 def _numbered(ts: TransitionSystem, entries) -> list[Attractor]:
-    """Attractors from (representative, states, unverified) triples, where
-    the representative is the bit string of the smallest state, numbered
-    from 1 in the order of their representatives."""
+    """Attractors from (representative, states, unverified, size) entries,
+    where the representative is the bit string of the smallest state and
+    size is the number of states, or None to count them, numbered from 1
+    in the order of their representatives."""
     result = []
-    for i, (rep, ref, unverified) in enumerate(sorted(entries), start=1):
+    for i, (rep, ref, unverified, size) in enumerate(sorted(entries),
+                                                     start=1):
         states = ts.set_of(ref)
-        size = states.count()
+        if size is None:
+            size = states.count()
         kind = AttractorKind.STEADY if size == 1 else AttractorKind.CYCLIC
         result.append(Attractor(i, states, rep, kind, size, unverified))
     return result
 
 
-def _sync_cycles(ts: TransitionSystem) -> list[tuple[str, int, bool]]:
+def _sync_cycles(ts: TransitionSystem) -> list[tuple[str, int, bool, None]]:
     """Attractors of more than one state of a deterministic STG, as
     `_numbered` takes them.  Each state has one successor, so every cycle
     is terminal and is the forward reach of any of its states.  The
@@ -67,7 +70,7 @@ def _sync_cycles(ts: TransitionSystem) -> list[tuple[str, int, bool]]:
     while recurrent != 0:
         x = m.kernel.pick_min_state(recurrent)
         cycle = ts.forward_reach_ref(m.cube(x))
-        found.append((m.bits(x), cycle, False))
+        found.append((m.bits(x), cycle, False, None))
         recurrent = m.apply(OP_DIFF, recurrent, cycle)
     return found
 
@@ -87,16 +90,18 @@ def attractors(ts: TransitionSystem) -> list[Attractor]:
     `_sync_cycles` for the longer cycles instead.
 
     A loop and a synchronous cycle are named by the state that detection
-    already holds; only an attractor found from a pivot is picked.
+    already holds; only an attractor found from a pivot is picked.  A loop
+    is one state, so only the others are counted.
     """
     m = ts.manager
-    found = [(m.bits(x), m.cube(x), False) for x in m.kernel.states(ts.loops)]
+    found = [(m.bits(x), m.cube(x), False, 1)
+             for x in m.kernel.states(ts.loops)]
     if ts.mode is UpdateMode.SYNC:
         return _numbered(ts, found + _sync_cycles(ts))
     candidates = m.apply(OP_DIFF, ts.space_ref, ts.loops)
     # one reach per state, as the weak basins ask for, so that they find
     # its preimages cached
-    for _, loop, _ in found:
+    for _, loop, _, _ in found:
         if candidates == 0:
             break
         candidates = m.apply(OP_DIFF, candidates, ts.backward_reach_ref(loop))
@@ -107,7 +112,7 @@ def attractors(ts: TransitionSystem) -> list[Attractor]:
         fwd, bwd = _scc(ts, m.cube(m.kernel.pick_min_state(pool)))
         beyond = m.apply(OP_DIFF, fwd, bwd)
         if beyond == 0:
-            found.append((m.pick_min_state(fwd), fwd, False))
+            found.append((m.pick_min_state(fwd), fwd, False, None))
         candidates = m.apply(OP_DIFF, candidates, bwd)
         preferred = m.apply(OP_AND, beyond, candidates)
     return _numbered(ts, found)
@@ -156,20 +161,20 @@ def import_attractors(ts: TransitionSystem, seeds) -> list[Attractor]:
                 raise AttractorError(
                     f"seed {seed!r}: SCC is not terminal, "
                     f"escaping transition {x} -> {m.bits(y)}")
-            entries.append((m.pick_min_state(fwd), fwd, False))
+            entries.append((m.pick_min_state(fwd), fwd, False, None))
         elif isinstance(seed, dict):
             ref = _subspace_ref(ts, seed)
             if ref == 0:
                 raise AttractorError(
                     f"subspace pattern {seed!r} is empty within the space")
-            entries.append((m.pick_min_state(ref), ref, True))
+            entries.append((m.pick_min_state(ref), ref, True, None))
         else:
             raise AttractorError(f"unsupported seed {seed!r}")
         ref = entries[-1][1]
         # comparing every pair would take O(k^2) applies; scan the earlier
         # seeds only to name the first one that the new seed meets
         if m.apply(OP_AND, ref, union) != 0:
-            for (_, other, _), other_seed in zip(entries, accepted):
+            for (_, other, _, _), other_seed in zip(entries, accepted):
                 shared = m.apply(OP_AND, ref, other)
                 if shared == 0:
                     continue

@@ -314,123 +314,6 @@ static int check_unprimed(Kernel *k, int32_t f)
     return -1;
 }
 
-/* count of g over the variables from its own index on, as a new
- * reference; memo maps node ids to their counts, as in _kernel_py */
-static PyObject *count(Kernel *k, PyObject *memo, int32_t g)
-{
-    if (g < 2)
-        return PyLong_FromLong(g);
-    PyObject *key = PyLong_FromLong(g);
-    if (key == NULL)
-        return NULL;
-    PyObject *sum = PyDict_GetItemWithError(memo, key);
-    if (sum != NULL || PyErr_Occurred()) {
-        Py_XINCREF(sum);
-        Py_DECREF(key);
-        return sum;
-    }
-    Node nd = k->nodes[g];
-    int32_t kids[2] = {nd.low, nd.high};
-    sum = PyLong_FromLong(0);
-    for (int b = 0; b < 2 && sum != NULL; b++) {
-        /* shift the child's count into g's variable range */
-        long gap = (k->nodes[kids[b]].level >> 1) - (nd.level >> 1) - 1;
-        PyObject *sub = count(k, memo, kids[b]);
-        PyObject *by = sub == NULL ? NULL : PyLong_FromLong(gap);
-        PyObject *part = by == NULL ? NULL : PyNumber_Lshift(sub, by);
-        Py_XDECREF(sub);
-        Py_XDECREF(by);
-        PyObject *next = part == NULL ? NULL : PyNumber_Add(sum, part);
-        Py_XDECREF(part);
-        Py_DECREF(sum);
-        sum = next;
-    }
-    if (sum != NULL && PyDict_SetItem(memo, key, sum) < 0)
-        Py_CLEAR(sum);
-    Py_DECREF(key);
-    return sum;
-}
-
-static PyObject *count_states(Kernel *k, int32_t f)
-{
-    PyObject *memo = PyDict_New();
-    PyObject *c = memo == NULL ? NULL : count(k, memo, f);
-    PyObject *by = c == NULL ? NULL : PyLong_FromLong(k->nodes[f].level >> 1);
-    PyObject *res = by == NULL ? NULL : PyNumber_Lshift(c, by);
-    Py_XDECREF(memo);
-    Py_XDECREF(c);
-    Py_XDECREF(by);
-    return res;
-}
-
-/* whether the state y comes before x in the lexicographic order of their
- * bit strings: x has 1 at the first variable where they differ; -1 with an
- * exception set */
-static int precedes(PyObject *y, PyObject *x)
-{
-    PyObject *d = PyNumber_Xor(x, y);
-    PyObject *neg = d == NULL ? NULL : PyNumber_Negative(d);
-    PyObject *first = neg == NULL ? NULL : PyNumber_And(d, neg);
-    PyObject *at = first == NULL ? NULL : PyNumber_And(x, first);
-    int r = at == NULL ? -1 : PyObject_IsTrue(at);
-    Py_XDECREF(d);
-    Py_XDECREF(neg);
-    Py_XDECREF(first);
-    Py_XDECREF(at);
-    return r;
-}
-
-/* the smallest state of g, with the variables that g skips at 0, as a new
- * reference (None for FALSE): the smaller of the picks of its low and high
- * child, the latter with g's variable set; memo maps node ids to their
- * picks, as in _kernel_py */
-static PyObject *pick(Kernel *k, PyObject *memo, int32_t g)
-{
-    if (g == 0)
-        Py_RETURN_NONE;
-    if (g == 1)
-        return PyLong_FromLong(0);
-    PyObject *key = PyLong_FromLong(g);
-    if (key == NULL)
-        return NULL;
-    PyObject *x = PyDict_GetItemWithError(memo, key);
-    if (x != NULL || PyErr_Occurred()) {
-        Py_XINCREF(x);
-        Py_DECREF(key);
-        return x;
-    }
-    Node nd = k->nodes[g];
-    x = pick(k, memo, nd.low);
-    PyObject *y = x == NULL ? NULL : pick(k, memo, nd.high);
-    if (y == NULL) {
-        Py_CLEAR(x);
-    } else if (y != Py_None) {
-        PyObject *one = PyLong_FromLong(1);
-        PyObject *v = one == NULL ? NULL
-                                  : PyLong_FromLong(k->order[nd.level >> 1]);
-        PyObject *bit = v == NULL ? NULL : PyNumber_Lshift(one, v);
-        PyObject *high = bit == NULL ? NULL : PyNumber_Or(y, bit);
-        Py_XDECREF(one);
-        Py_XDECREF(v);
-        Py_XDECREF(bit);
-        Py_DECREF(y);
-        y = high;
-        int wins = y == NULL ? -1 : x == Py_None ? 1 : precedes(y, x);
-        if (wins == 1) {
-            Py_DECREF(x);
-            x = y;
-            y = NULL;
-        } else if (wins < 0) {
-            Py_CLEAR(x);
-        }
-    }
-    Py_XDECREF(y);
-    if (x != NULL && PyDict_SetItem(memo, key, x) < 0)
-        Py_CLEAR(x);
-    Py_DECREF(key);
-    return x;
-}
-
 /* -- Python argument conversion ------------------------------------------ */
 
 static int arg_int(PyObject *o, long *out)
@@ -533,6 +416,182 @@ static PyObject *pack_state(const uint64_t *w, size_t words)
         Py_XDECREF(low);
     }
     return x;
+}
+
+/* -- folds over machine words --------------------------------------------- *
+ * count_states and pick_min_state fold a value of a few 64-bit words
+ * bottom-up over an unprimed diagram, as _kernel_py.Kernel._fold folds
+ * Python ints: each node's value combines its children's.  A per-call memo,
+ * open-addressed and keyed by node id, keeps every value, so each node is
+ * folded once, and an explicit stack keeps deep diagrams off the C stack. */
+
+enum { FOLD_COUNT, FOLD_PICK };
+
+typedef struct {
+    const Kernel *k;
+    int kind;
+    size_t words;    /* per value */
+    uint64_t *term;  /* the values of FALSE and TRUE */
+    int32_t *ids;    /* the node in each bucket, -1 for none */
+    uint64_t *val;   /* the value of bucket b at val + b * words */
+    size_t mask, len;
+    int32_t *stack;
+    size_t top, stack_cap;
+} Fold;
+
+/* the bucket of node g: where it is, or the free one where it goes */
+static size_t fold_bucket(const Fold *m, int32_t g)
+{
+    size_t b = ((uint32_t)g * 2654435761u) & m->mask;
+    while (m->ids[b] != g && m->ids[b] >= 0)
+        b = (b + 1) & m->mask;
+    return b;
+}
+
+/* the value of node g, or NULL while it is not folded */
+static const uint64_t *fold_value(const Fold *m, int32_t g)
+{
+    if (g < 2)
+        return m->term + (size_t)g * m->words;
+    size_t b = fold_bucket(m, g);
+    return m->ids[b] == g ? m->val + b * m->words : NULL;
+}
+
+/* empty buckets for `slots` nodes, their values moved over from m's */
+static int fold_rehash(Fold *m, size_t slots)
+{
+    int32_t *ids = malloc(slots * sizeof(int32_t));
+    uint64_t *val = malloc(slots * m->words * sizeof(uint64_t));
+    if (ids == NULL || val == NULL) {
+        free(ids);
+        free(val);
+        PyErr_NoMemory();
+        return -1;
+    }
+    memset(ids, 0xFF, slots * sizeof(int32_t));
+    Fold old = *m;
+    m->ids = ids;
+    m->val = val;
+    m->mask = slots - 1;
+    for (size_t b = 0; old.ids != NULL && b <= old.mask; b++) {
+        if (old.ids[b] < 0)
+            continue;
+        size_t to = fold_bucket(m, old.ids[b]);
+        ids[to] = old.ids[b];
+        memcpy(val + to * m->words, old.val + b * m->words,
+               m->words * sizeof(uint64_t));
+    }
+    free(old.ids);
+    free(old.val);
+    return 0;
+}
+
+/* the value of node g into out from those of its children */
+static void fold_node(const Fold *m, int32_t g, const uint64_t *lo,
+                      const uint64_t *hi, uint64_t *out)
+{
+    size_t words = m->words;
+    if (m->kind == FOLD_COUNT) {
+        /* g's variable is 0 in half of low's states and 1 in half of
+         * high's: (lo + hi) >> 1, carried across the words.  Neither count
+         * reaches 2^n unless both are TRUE, so the sum fits n + 1 bits. */
+        uint64_t carry = 0;
+        for (size_t t = 0; t < words; t++) {
+            uint64_t s = lo[t] + carry;
+            carry = s < carry;
+            s += hi[t];
+            carry += s < hi[t];
+            out[t] = s;
+        }
+        for (size_t t = 0; t < words; t++)
+            out[t] = out[t] >> 1 | (t + 1 < words ? out[t + 1] << 63 : 0);
+        return;
+    }
+    /* the smaller of low's pick and high's with g's variable set: the first
+     * variable at which the two differ decides, 0 first */
+    Node nd = m->k->nodes[g];
+    if (nd.high == 0) {
+        memcpy(out, lo, words * sizeof(uint64_t));
+        return;
+    }
+    int32_t v = m->k->order[nd.level >> 1];
+    memcpy(out, hi, words * sizeof(uint64_t));
+    out[v >> 6] |= 1ULL << (v & 63);
+    for (size_t t = 0; nd.low != 0 && t < words; t++) {
+        uint64_t d = lo[t] ^ out[t];
+        if (d != 0) {
+            if ((lo[t] & d & (~d + 1)) == 0)
+                memcpy(out, lo, words * sizeof(uint64_t));
+            return;
+        }
+    }
+}
+
+/* The value of f as a new reference: its number of states over the n
+ * variables, in (n + 64) / 64 words, or its smallest state, in
+ * state_words(k) words (at least one). */
+static PyObject *fold(const Kernel *k, int kind, int32_t f)
+{
+    size_t words = kind == FOLD_COUNT ? ((size_t)k->n + 64) / 64
+                                      : state_words(k) + (k->n == 0);
+    Fold m = {k, kind, words, NULL, NULL, NULL, 0, 0, NULL, 0, 64};
+    PyObject *res = NULL;
+    m.term = calloc(2 * words, sizeof(uint64_t));
+    m.stack = malloc(m.stack_cap * sizeof(int32_t));
+    if (m.term == NULL || m.stack == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (fold_rehash(&m, 64) < 0)
+        goto done;
+    /* TRUE has all 2^n states and picks the state 0 */
+    if (kind == FOLD_COUNT)
+        m.term[words + (size_t)k->n / 64] = 1ULL << (k->n % 64);
+    if (f >= 2)
+        m.stack[m.top++] = f;
+    while (m.top > 0) {
+        /* at most half full, so that probes stay short */
+        if (2 * (m.len + 1) > m.mask + 1
+            && fold_rehash(&m, 2 * (m.mask + 1)) < 0)
+            goto done;
+        int32_t g = m.stack[m.top - 1];
+        size_t b = fold_bucket(&m, g);
+        if (m.ids[b] == g) {
+            m.top--;
+            continue;
+        }
+        Node nd = k->nodes[g];
+        const uint64_t *lo = fold_value(&m, nd.low);
+        const uint64_t *hi = fold_value(&m, nd.high);
+        if (lo != NULL && hi != NULL) {
+            fold_node(&m, g, lo, hi, m.val + b * words);
+            m.ids[b] = g;
+            m.len++;
+            m.top--;
+            continue;
+        }
+        if (m.top + 2 > m.stack_cap) {
+            int32_t *stack =
+                realloc(m.stack, 2 * m.stack_cap * sizeof(int32_t));
+            if (stack == NULL) {
+                PyErr_NoMemory();
+                goto done;
+            }
+            m.stack = stack;
+            m.stack_cap *= 2;
+        }
+        if (lo == NULL)
+            m.stack[m.top++] = nd.low;
+        if (hi == NULL)
+            m.stack[m.top++] = nd.high;
+    }
+    res = pack_state(fold_value(&m, f), words);
+done:
+    free(m.term);
+    free(m.ids);
+    free(m.val);
+    free(m.stack);
+    return res;
 }
 
 /* -- Kernel type --------------------------------------------------------- */
@@ -758,7 +817,7 @@ static PyObject *Kernel_count_states(Kernel *self, PyObject *arg)
     if (Kernel_ready(self) < 0 || arg_node(self, arg, &f) < 0
         || check_unprimed(self, f) < 0)
         return NULL;
-    return count_states(self, f);
+    return fold(self, FOLD_COUNT, f);
 }
 
 static PyObject *Kernel_pick_min_state(Kernel *self, PyObject *arg)
@@ -773,10 +832,7 @@ static PyObject *Kernel_pick_min_state(Kernel *self, PyObject *arg)
     }
     if (check_unprimed(self, f) < 0)
         return NULL;
-    PyObject *memo = PyDict_New();
-    PyObject *x = memo == NULL ? NULL : pick(self, memo, f);
-    Py_XDECREF(memo);
-    return x;
+    return fold(self, FOLD_PICK, f);
 }
 
 /* the terminal that the packed state x reaches in the unprimed diagram f */
@@ -807,6 +863,24 @@ static PyObject *Kernel_contains(Kernel *self, PyObject *const *args,
     f = descend(self, f, x);
     free(x);
     return PyBool_FromLong(f);
+}
+
+/* the diagram of the packed state x alone, built bottom-up */
+static PyObject *Kernel_cube(Kernel *self, PyObject *arg)
+{
+    if (Kernel_ready(self) < 0)
+        return NULL;
+    uint64_t *x = malloc((state_words(self) + 1) * sizeof(uint64_t));
+    if (x == NULL)
+        return PyErr_NoMemory();
+    int32_t acc = arg_state(self, arg, x) < 0 ? -1 : 1;
+    for (int p = self->n - 1; p >= 0 && acc >= 0; p--) {
+        int32_t v = self->order[p];
+        acc = (x[v >> 6] >> (v & 63)) & 1 ? mk(self, 2 * p, 0, acc)
+                                          : mk(self, 2 * p, acc, 0);
+    }
+    free(x);
+    return node_result(acc);
 }
 
 /* an entry of the state walk: the node for the slots from 2i on, reached
@@ -981,17 +1055,22 @@ static PyObject *Kernel_states(Kernel *self, PyObject *arg)
  * The draws are the 32-bit outputs of MT19937 (Matsumoto & Nishimura, ACM
  * TOMACS 1998), seeded with init_by_array from the little-endian 32-bit
  * words of a key, as random.Random(int.from_bytes(key, "little")) seeds
- * itself, so that the walks of both kernels draw the same numbers. */
+ * itself, so that the walks of both kernels draw the same numbers.  The
+ * keys of LANES walks are seeded together (mt_seed_lanes); a key of more
+ * than MT_N words is seeded on its own (mt_seed). */
 
 #define MT_N 624
 #define MT_M 397
+#define LANES 8
 
 typedef struct {
     uint32_t mt[MT_N];
     int index; /* the next output; from it on the words await their twist */
     uint32_t base[MT_N]; /* init_genrand(19650218), init_by_array's start */
-    uint32_t *key;
+    uint32_t *key; /* scratch for the words of a key */
     size_t key_cap;
+    uint32_t lane[MT_N][LANES]; /* the words of LANES generators */
+    uint32_t add[MT_N][LANES]; /* what each step of the first loop adds */
 } Mt;
 
 static void mt_init(Mt *g)
@@ -1002,20 +1081,23 @@ static void mt_init(Mt *g)
                      + (uint32_t)i;
 }
 
-/* init_by_array from the 32-bit words of the little-endian key b[0 .. len)
- * up to the highest nonzero one, or from one zero word for 0 */
-static int mt_seed(Mt *g, const unsigned char *b, size_t len)
+/* the 32-bit words of the little-endian key b[0 .. len) up to the highest
+ * nonzero one, or one zero word for 0, into g->key; returns their number,
+ * or 0 with an exception set */
+static size_t mt_key(Mt *g, PyObject *key)
 {
+    const unsigned char *b = (const unsigned char *)PyBytes_AS_STRING(key);
+    size_t len = (size_t)PyBytes_GET_SIZE(key);
     while (len > 0 && b[len - 1] == 0)
         len--;
     size_t words = len > 0 ? (len + 3) / 4 : 1;
     if (words > g->key_cap) {
-        uint32_t *key = realloc(g->key, words * sizeof(uint32_t));
-        if (key == NULL) {
+        uint32_t *w = realloc(g->key, words * sizeof(uint32_t));
+        if (w == NULL) {
             PyErr_NoMemory();
-            return -1;
+            return 0;
         }
-        g->key = key;
+        g->key = w;
         g->key_cap = words;
     }
     for (size_t j = 0; j < words; j++) {
@@ -1024,6 +1106,12 @@ static int mt_seed(Mt *g, const unsigned char *b, size_t len)
             w = w << 8 | (i - 1 < len ? b[i - 1] : 0u);
         g->key[j] = w;
     }
+    return words;
+}
+
+/* init_by_array from the first `words` words of g->key */
+static void mt_seed(Mt *g, size_t words)
+{
     uint32_t *mt = g->mt;
     memcpy(mt, g->base, sizeof g->mt);
     size_t i = 1, j = 0;
@@ -1050,7 +1138,77 @@ static int mt_seed(Mt *g, const unsigned char *b, size_t len)
     }
     mt[0] = 0x80000000u;
     g->index = 0;
-    return 0;
+}
+
+/* one step of init_by_array's loops on every lane */
+static inline void mt_lanes_step(uint32_t *restrict cur,
+                                 const uint32_t *restrict prev, uint32_t mul,
+                                 const uint32_t *restrict add, uint32_t sub)
+{
+    for (int l = 0; l < LANES; l++)
+        cur[l] = ((cur[l] ^ ((prev[l] ^ (prev[l] >> 30)) * mul)) + add[l])
+                 - sub;
+}
+
+/* init_by_array for the keys[0 .. m), m <= LANES, into g->lane.  For a key
+ * of at most MT_N words both loops take the same steps, MT_N and MT_N - 1;
+ * only the first adds the key's words, cycled, each plus its index.  So
+ * with those sums laid out per step in g->add, every step is the same for
+ * all lanes, and the compiler can run the lanes side by side.  Returns the
+ * mask of the lanes whose keys are longer, left to mt_seed, or -1 with an
+ * exception set. */
+static int mt_seed_lanes(Mt *g, PyObject *const *keys, int m)
+{
+    int longer = 0;
+    for (int l = 0; l < LANES; l++) {
+        size_t words = 0;
+        if (l < m && (words = mt_key(g, keys[l])) == 0)
+            return -1;
+        if (words > MT_N)
+            longer |= 1 << l;
+        if (words == 0 || words > MT_N) {
+            /* a spare lane, or a longer key's, adds zeros */
+            for (int k = 0; k < MT_N; k++)
+                g->add[k][l] = 0;
+            continue;
+        }
+        for (size_t j = 0; j < words; j++)
+            g->key[j] += (uint32_t)j; /* what step j adds */
+        for (size_t k = 0; k < MT_N; k += words)
+            for (size_t j = 0; j < words && k + j < MT_N; j++)
+                g->add[k + j][l] = g->key[j];
+    }
+    uint32_t (*mt)[LANES] = g->lane;
+    for (int i = 0; i < MT_N; i++)
+        for (int l = 0; l < LANES; l++)
+            mt[i][l] = g->base[i];
+    int i = 1;
+    for (int k = 0; k < MT_N; k++) {
+        mt_lanes_step(mt[i], mt[i - 1], 1664525u, g->add[k], 0);
+        if (++i >= MT_N) {
+            memcpy(mt[0], mt[MT_N - 1], sizeof mt[0]);
+            i = 1;
+        }
+    }
+    static const uint32_t none[LANES];
+    for (int k = MT_N - 1; k > 0; k--) {
+        mt_lanes_step(mt[i], mt[i - 1], 1566083941u, none, (uint32_t)i);
+        if (++i >= MT_N) {
+            memcpy(mt[0], mt[MT_N - 1], sizeof mt[0]);
+            i = 1;
+        }
+    }
+    for (int l = 0; l < LANES; l++)
+        mt[0][l] = 0x80000000u;
+    return longer;
+}
+
+/* draw from here on with the generator of lane l */
+static void mt_take_lane(Mt *g, int l)
+{
+    for (int i = 0; i < MT_N; i++)
+        g->mt[i] = g->lane[i][l];
+    g->index = 0;
 }
 
 /* The twist of word k reads word k + 1, not yet twisted, and word k + M
@@ -1139,105 +1297,257 @@ static int count_end(PyObject *ends, const uint64_t *x, size_t words)
     return err ? -1 : 0;
 }
 
+/* -- the walks' step memo ------------------------------------------------- *
+ * Within one walks call, the memo keeps for each state that a walk visits
+ * whether it lies in stop, and its flips in ascending order (none outside
+ * reach), so that a later visit takes its step without walking the
+ * relation again.  It adds no state whose words would take it past
+ * WALK_MEMO_WORDS words of states and flips, nor one it has no memory
+ * for; such a state's step is computed at every visit. */
+
+#ifndef WALK_MEMO_WORDS
+#define WALK_MEMO_WORDS (1 << 18)
+#endif
+
+typedef struct {
+    uint32_t at; /* the state and then its flips, from arena + at */
+    uint32_t flips;
+    int stop; /* -1 in a free bucket */
+} Step;
+
+typedef struct {
+    size_t words; /* per state, at least one */
+    Step *table;
+    size_t mask, len;
+    uint64_t *arena;
+    size_t used, cap;
+} Steps;
+
+static int steps_init(Steps *m, size_t words)
+{
+    size_t slots = 256;
+    *m = (Steps){words > 0 ? words : 1, malloc(slots * sizeof(Step)),
+                 slots - 1, 0, NULL, 0, 0};
+    if (m->table == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (size_t b = 0; b < slots; b++)
+        m->table[b].stop = -1;
+    return 0;
+}
+
+static void steps_free(Steps *m)
+{
+    free(m->table);
+    free(m->arena);
+}
+
+/* the bucket of state x: its entry, or the free bucket where it goes */
+static size_t steps_bucket(const Steps *m, const uint64_t *x)
+{
+    uint64_t h = 0;
+    for (size_t t = 0; t < m->words; t++)
+        h = (h ^ x[t]) * 0x9E3779B97F4A7C15ULL;
+    size_t b = (size_t)(h >> 32) & m->mask;
+    while (m->table[b].stop >= 0
+           && memcmp(m->arena + m->table[b].at, x,
+                     m->words * sizeof(uint64_t)) != 0)
+        b = (b + 1) & m->mask;
+    return b;
+}
+
+/* the state x, in stop or not, with its n flips, unless it does not fit */
+static void steps_add(Steps *m, const uint64_t *x, int stop,
+                      const uint64_t *flips, size_t n)
+{
+    size_t words = m->words, need = (1 + n) * words;
+    if (need > WALK_MEMO_WORDS - m->used)
+        return;
+    if (m->used + need > m->cap) {
+        size_t cap = m->used + need > 2 * m->cap ? m->used + need : 2 * m->cap;
+        cap = cap < WALK_MEMO_WORDS ? cap : WALK_MEMO_WORDS;
+        uint64_t *arena = realloc(m->arena, cap * sizeof(uint64_t));
+        if (arena == NULL)
+            return;
+        m->arena = arena;
+        m->cap = cap;
+    }
+    /* at most half full, so that probes stay short */
+    if (2 * (m->len + 1) > m->mask + 1) {
+        size_t slots = 2 * (m->mask + 1);
+        Step *table = malloc(slots * sizeof(Step));
+        if (table == NULL)
+            return;
+        Steps old = *m;
+        m->table = table;
+        m->mask = slots - 1;
+        for (size_t b = 0; b < slots; b++)
+            table[b].stop = -1;
+        for (size_t b = 0; b <= old.mask; b++)
+            if (old.table[b].stop >= 0)
+                table[steps_bucket(m, m->arena + old.table[b].at)] =
+                    old.table[b];
+        free(old.table);
+    }
+    uint64_t *at = m->arena + m->used;
+    memcpy(at, x, words * sizeof(uint64_t));
+    if (n > 0)
+        memcpy(at + words, flips, n * words * sizeof(uint64_t));
+    m->table[steps_bucket(m, x)] =
+        (Step){(uint32_t)m->used, (uint32_t)n, stop};
+    m->used += need;
+    m->len++;
+}
+
+/* what one walks call shares between its walks */
+typedef struct {
+    int32_t r, space, reach, stop;
+    long long cap;
+    size_t words; /* per state */
+    uint64_t *x;
+    Mt *g;
+    Succ succ;
+    Steps memo;
+    PyObject *ends;
+    unsigned long long capped, steps;
+} Walks;
+
+/* one walk, drawing from w->g */
+static int walk(const Kernel *k, Walks *w)
+{
+    size_t words = w->words;
+    uint64_t *x = w->x;
+    /* a uniform admissible start state, by rejection */
+    do {
+        memset(x, 0, words * sizeof(uint64_t));
+        for (int i = 0; i < k->n; i++)
+            x[i >> 6] |= (uint64_t)mt_below(w->g, 2) << (i & 63);
+    } while (descend(k, w->space, x) == 0);
+    long long walked = 0;
+    for (;;) {
+        Step e = w->memo.table[steps_bucket(&w->memo, x)];
+        const uint64_t *flips;
+        size_t n = e.flips;
+        if (e.stop >= 0) {
+            flips = w->memo.arena + e.at + w->memo.words;
+        } else {
+            e.stop = descend(k, w->stop, x) != 0;
+            w->succ.len = 0;
+            if (!e.stop && descend(k, w->reach, x)) {
+                if (successors_of(k, w->r, x, &w->succ) < 0)
+                    return -1;
+                order_flips(x, &w->succ);
+            }
+            flips = w->succ.w;
+            n = w->succ.len;
+            steps_add(&w->memo, x, e.stop, flips, n);
+        }
+        if (e.stop) {
+            if (count_end(w->ends, x, words) < 0)
+                return -1;
+            break;
+        }
+        if (walked >= w->cap || n == 0) {
+            w->capped++;
+            break;
+        }
+        if (n > UINT32_MAX) {
+            PyErr_SetString(PyExc_OverflowError,
+                            "more than 2^32 - 1 successors");
+            return -1;
+        }
+        const uint64_t *d =
+            flips + (size_t)mt_below(w->g, (uint32_t)n) * words;
+        for (size_t t = 0; t < words; t++)
+            x[t] ^= d[t];
+        walked++;
+        if ((walked & 0xffff) == 0 && PyErr_CheckSignals() < 0)
+            return -1;
+    }
+    w->steps += (unsigned long long)walked;
+    return PyErr_CheckSignals();
+}
+
 static PyObject *Kernel_walks(Kernel *self, PyObject *const *args,
                               Py_ssize_t nargs)
 {
-    int32_t r, space, reach, stop;
+    Walks w = {0};
     if (Kernel_ready(self) < 0 || check_nargs("walks", nargs, 6) < 0
-        || arg_node(self, args[0], &r) < 0
-        || arg_node(self, args[1], &space) < 0
-        || check_unprimed(self, space) < 0
-        || arg_node(self, args[2], &reach) < 0
-        || check_unprimed(self, reach) < 0
-        || arg_node(self, args[3], &stop) < 0
-        || check_unprimed(self, stop) < 0)
+        || arg_node(self, args[0], &w.r) < 0
+        || arg_node(self, args[1], &w.space) < 0
+        || check_unprimed(self, w.space) < 0
+        || arg_node(self, args[2], &w.reach) < 0
+        || check_unprimed(self, w.reach) < 0
+        || arg_node(self, args[3], &w.stop) < 0
+        || check_unprimed(self, w.stop) < 0)
         return NULL;
-    if (space == 0) {
+    if (w.space == 0) {
         PyErr_SetString(PyExc_ValueError, "no admissible state to start from");
         return NULL;
     }
-    long long cap = PyLong_AsLongLong(args[5]);
-    if (cap == -1 && PyErr_Occurred())
+    w.cap = PyLong_AsLongLong(args[5]);
+    if (w.cap == -1 && PyErr_Occurred())
         return NULL;
     PyObject *keys = PyObject_GetIter(args[4]);
     if (keys == NULL)
         return NULL;
-    int n = self->n;
-    size_t words = state_words(self);
-    unsigned long long capped = 0, steps = 0;
-    PyObject *ends = PyDict_New(), *key = NULL, *result = NULL;
-    Succ succ;
-    uint64_t *x = calloc(words + 1, sizeof(uint64_t));
-    Mt *g = calloc(1, sizeof(Mt));
-    if (succ_init(self, &succ) < 0)
+    PyObject *batch[LANES], *result = NULL;
+    int m = 0;
+    w.words = state_words(self);
+    w.ends = PyDict_New();
+    w.x = calloc(w.words + 1, sizeof(uint64_t));
+    w.g = calloc(1, sizeof(Mt));
+    if (succ_init(self, &w.succ) < 0 || steps_init(&w.memo, w.words) < 0)
         goto done;
-    if (ends == NULL || x == NULL || g == NULL) {
-        if (ends != NULL)
+    if (w.ends == NULL || w.x == NULL || w.g == NULL) {
+        if (w.ends != NULL)
             PyErr_NoMemory();
         goto done;
     }
-    mt_init(g);
-    while ((key = PyIter_Next(keys)) != NULL) {
-        if (!PyBytes_Check(key)) {
-            PyErr_Format(PyExc_TypeError, "walk key must be bytes, not %.100s",
-                         Py_TYPE(key)->tp_name);
-            goto done;
-        }
-        if (mt_seed(g, (const unsigned char *)PyBytes_AS_STRING(key),
-                    (size_t)PyBytes_GET_SIZE(key)) < 0)
-            goto done;
-        Py_CLEAR(key);
-        /* a uniform admissible start state, by rejection */
-        do {
-            memset(x, 0, words * sizeof(uint64_t));
-            for (int i = 0; i < n; i++)
-                x[i >> 6] |= (uint64_t)mt_below(g, 2) << (i & 63);
-        } while (descend(self, space, x) == 0);
-        long long walked = 0;
-        for (;;) {
-            if (descend(self, stop, x)) {
-                if (count_end(ends, x, words) < 0)
-                    goto done;
-                break;
-            }
-            succ.len = 0;
-            if (walked < cap && descend(self, reach, x)) {
-                if (successors_of(self, r, x, &succ) < 0)
-                    goto done;
-                order_flips(x, &succ);
-            }
-            if (succ.len == 0) {
-                capped++;
-                break;
-            }
-            if (succ.len > UINT32_MAX) {
-                PyErr_SetString(PyExc_OverflowError,
-                                "more than 2^32 - 1 successors");
+    mt_init(w.g);
+    for (;;) {
+        while (m < LANES && (batch[m] = PyIter_Next(keys)) != NULL) {
+            if (!PyBytes_Check(batch[m++])) {
+                PyErr_Format(PyExc_TypeError,
+                             "walk key must be bytes, not %.100s",
+                             Py_TYPE(batch[m - 1])->tp_name);
                 goto done;
             }
-            const uint64_t *d =
-                succ.w + (size_t)mt_below(g, (uint32_t)succ.len) * words;
-            for (size_t t = 0; t < words; t++)
-                x[t] ^= d[t];
-            walked++;
-            if ((walked & 0xffff) == 0 && PyErr_CheckSignals() < 0)
+        }
+        if (m == 0 || PyErr_Occurred())
+            break;
+        int longer = mt_seed_lanes(w.g, batch, m);
+        if (longer < 0)
+            goto done;
+        for (int l = 0; l < m; l++) {
+            if (longer >> l & 1) {
+                size_t words = mt_key(w.g, batch[l]);
+                if (words == 0)
+                    goto done;
+                mt_seed(w.g, words);
+            } else {
+                mt_take_lane(w.g, l);
+            }
+            if (walk(self, &w) < 0)
                 goto done;
         }
-        steps += (unsigned long long)walked;
-        if (PyErr_CheckSignals() < 0)
-            goto done;
+        while (m > 0)
+            Py_DECREF(batch[--m]);
     }
     if (!PyErr_Occurred())
-        result = Py_BuildValue("(OKK)", ends, capped, steps);
+        result = Py_BuildValue("(OKK)", w.ends, w.capped, w.steps);
 done:
-    Py_XDECREF(key);
+    while (m > 0)
+        Py_DECREF(batch[--m]);
     Py_DECREF(keys);
-    Py_XDECREF(ends);
-    free(x);
-    if (g != NULL)
-        free(g->key);
-    free(g);
-    succ_free(&succ);
+    Py_XDECREF(w.ends);
+    free(w.x);
+    if (w.g != NULL)
+        free(w.g->key);
+    free(w.g);
+    succ_free(&w.succ);
+    steps_free(&w.memo);
     return result;
 }
 
@@ -1267,6 +1577,8 @@ static PyMethodDef Kernel_methods[] = {
     {"states", (PyCFunction)Kernel_states, METH_O,
      "states(f): the packed states of f, in lexicographic order of their "
      "bit strings."},
+    {"cube", (PyCFunction)Kernel_cube, METH_O,
+     "cube(x): the diagram of the packed state x alone."},
     {"contains", (PyCFunction)(void (*)(void))Kernel_contains, METH_FASTCALL,
      "contains(f, x): whether the packed state x (bit i = variable i) is in "
      "the unprimed diagram f."},

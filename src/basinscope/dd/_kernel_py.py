@@ -27,6 +27,9 @@ OP_DIFF = 3
 TAG_AND_EXISTS = 4
 TAG_SHIFT = 6
 
+# the bound of the walks' step memo, in 64-bit words of states and flips
+WALK_MEMO_WORDS = 1 << 18
+
 
 class Kernel:
     def __init__(self, n_vars: int, node_limit: int = 1 << 24, order=None):
@@ -279,6 +282,17 @@ class Kernel:
             f = high[f] if (x >> order[level[f] >> 1]) & 1 else low[f]
         return f == 1
 
+    def cube(self, x: int) -> int:
+        """The diagram of the packed state x alone, built bottom-up."""
+        self._check_state(x)
+        acc = 1
+        for p in reversed(range(self.n)):
+            if (x >> self.order[p]) & 1:
+                acc = self.mk(2 * p, 0, acc)
+            else:
+                acc = self.mk(2 * p, acc, 0)
+        return acc
+
     def successors(self, r: int, x: int) -> list[int]:
         """The packed states y with (x, y') in r, in lexicographic order of
         their bit strings."""
@@ -337,13 +351,21 @@ class Kernel:
         order of x ^ y.  It ends when it enters stop, or as capped when it
         is outside reach, has no successor left or has taken cap steps.
         Returns the number of walks ending at each state of stop, the
-        number of capped walks and the number of steps taken in all."""
+        number of capped walks and the number of steps taken in all.
+
+        A memo keeps, per call, whether each visited state is in stop and
+        its flips (none outside reach), so that a later visit takes its
+        step without walking r again.  It adds no state that would take it
+        past WALK_MEMO_WORDS words of states and flips, counted as the C
+        kernel stores them."""
         if space == 0:
             raise ValueError("no admissible state to start from")
         n = self.n
         contains = self.contains
         ends: dict[int, int] = {}
         capped = steps = 0
+        memo: dict[int, tuple[bool, list[int]]] = {}
+        words, used = max(1, (n + 63) // 64), 0
         for key in keys:
             bits = random.Random(int.from_bytes(key, "little")).getrandbits
             while True:
@@ -354,13 +376,22 @@ class Kernel:
                     break
             walked = 0
             while True:
-                if contains(stop, x):
+                step = memo.get(x)
+                if step is None:
+                    in_stop, flips = contains(stop, x), []
+                    if not in_stop and contains(reach, x):
+                        flips = sorted(x ^ y for y in self._walk(r, x)
+                                       if y != x)
+                    step = in_stop, flips
+                    need = (1 + len(flips)) * words
+                    if need <= WALK_MEMO_WORDS - used:
+                        memo[x] = step
+                        used += need
+                in_stop, flips = step
+                if in_stop:
                     ends[x] = ends.get(x, 0) + 1
                     break
-                flips = []
-                if walked < cap and contains(reach, x):
-                    flips = sorted(x ^ y for y in self._walk(r, x) if y != x)
-                if not flips:
+                if walked >= cap or not flips:
                     capped += 1
                     break
                 x ^= flips[_below(bits, len(flips))]

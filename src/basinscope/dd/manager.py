@@ -87,14 +87,7 @@ class DdManager:
     def cube(self, x: int) -> int:
         """Diagram of the single state x, packed into an int whose bit i
         holds variable i."""
-        acc = 1
-        k = self.kernel
-        for p in reversed(range(self.n)):
-            if (x >> self.order[p]) & 1:
-                acc = k.mk(2 * p, 0, acc)
-            else:
-                acc = k.mk(2 * p, acc, 0)
-        return acc
+        return self.kernel.cube(x)
 
     def from_states(self, states) -> int:
         """Diagram of a set of states given as bit strings."""

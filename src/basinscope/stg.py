@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -150,22 +151,40 @@ def force_order(net: BooleanNetwork) -> list[int]:
         for v in e:
             member[v].append(j)
     # centres scaled by the lcm of the edge sizes and means by the lcm of
-    # the degrees are integers
-    size_lcm = math.lcm(*map(len, edges))
-    degree_lcm = math.lcm(*map(len, member))
+    # the degrees are integers; a round takes each as one flat sum over
+    # the concatenated edges or memberships
+    edge_vars, edge_spans = _flat(edges, math.lcm(*map(len, edges)))
+    var_edges, var_spans = _flat(member, math.lcm(*map(len, member)))
     order = list(range(n))
     pos = list(range(n))
     for _ in range(FORCE_ROUNDS):
-        centre = [sum(pos[v] for v in e) * (size_lcm // len(e)) for e in edges]
-        target = [sum(centre[j] for j in member[v])
-                  * (degree_lcm // len(member[v])) for v in range(n)]
-        ranked = sorted(range(n), key=lambda v: (target[v], pos[v]))
+        centre = _span_sums(map(pos.__getitem__, edge_vars), edge_spans)
+        target = _span_sums(map(centre.__getitem__, var_edges), var_spans)
+        # a stable sort of the previous order: ties keep it
+        ranked = sorted(order, key=target.__getitem__)
         if ranked == order:
             break
         order = ranked
         for p, v in enumerate(order):
             pos[v] = p
     return order
+
+
+def _flat(lists, lcm: int):
+    """The concatenation of the lists, and for each list its span in it,
+    (start, end, lcm // its length)."""
+    spans, end = [], 0
+    for xs in lists:
+        spans.append((end, end + len(xs), lcm // len(xs)))
+        end += len(xs)
+    return [x for xs in lists for x in xs], spans
+
+
+def _span_sums(values, spans) -> list[int]:
+    """The sum of the values in each span, times the span's weight."""
+    total = [0, *itertools.accumulate(values)]
+    return [(total[end] - total[start]) * weight
+            for start, end, weight in spans]
 
 
 def build(net: BooleanNetwork, mode: UpdateMode = UpdateMode.ASYNC,

@@ -26,9 +26,11 @@ KERNEL_C_SOURCE = Path(_kernel_py.__file__).with_name("_kernel_c.c")
 
 
 @pytest.fixture(scope="session")
-def kernel_c(tmp_path_factory):
+def kernel_c(request, tmp_path_factory):
     """The C kernel module, compiled from its source into a temporary
-    directory and loaded from there."""
+    directory and loaded from there.  An indirect parameter gives the
+    build's define_macros, as setuptools takes them; by default there are
+    none."""
     cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
     if shutil.which(cc) is None:
         pytest.skip(f"no C compiler ({cc}) to build the C kernel")
@@ -38,8 +40,9 @@ def kernel_c(tmp_path_factory):
     from setuptools import Distribution, Extension
 
     out = tmp_path_factory.mktemp("kernel_c")
-    dist = Distribution(
-        {"ext_modules": [Extension("_kernel_c", [str(KERNEL_C_SOURCE)])]})
+    extension = Extension("_kernel_c", [str(KERNEL_C_SOURCE)],
+                          define_macros=getattr(request, "param", []))
+    dist = Distribution({"ext_modules": [extension]})
     cmd = dist.get_command_obj("build_ext")
     cmd.build_lib = str(out)
     cmd.build_temp = str(out / "tmp")

@@ -273,9 +273,11 @@ def listed(count):
     return stop_of
 
 
-# keys beyond the simulator's: the empty key seeds as 0, and trailing zero
-# bytes are high zero words that do not count
-ODD_KEYS = [b"", b"\0\0", b"\2" + bytes(8), bytes(range(1, 10))]
+# keys beyond the simulator's: the empty key seeds as 0, trailing zero bytes
+# are high zero words that do not count, and a key of more than 624 32-bit
+# words is seeded on its own, not with seven others
+ODD_KEYS = [b"", b"\0\0", b"\2" + bytes(8), bytes(range(1, 10)),
+            bytes(range(1, 256)) * 10]
 
 
 @pytest.mark.parametrize("mode", [UpdateMode.ASYNC, UpdateMode.SYNC])
@@ -283,6 +285,22 @@ def test_walks_match(kernel_c, monkeypatch, mode):
     """walks returns the same ends, capped count and step total on both
     kernels, on random networks, every other one with a van Ham pair, with
     complete and partial attractor lists."""
+    assert_walks_match(kernel_c, monkeypatch, mode)
+
+
+@pytest.mark.parametrize("kernel_c", [[("WALK_MEMO_WORDS", "4")]],
+                         indirect=True, ids=["memo4"])
+@pytest.mark.parametrize("mode", [UpdateMode.ASYNC, UpdateMode.SYNC])
+def test_walks_match_past_a_full_memo(kernel_c, monkeypatch, mode):
+    """With room for four words of states and flips, the step memo of
+    either kernel is full after its first state or two, and the walks take
+    most of their steps without it; they still draw the same walks."""
+    monkeypatch.setattr(_kernel_py, "WALK_MEMO_WORDS", 4)
+    assert_walks_match(kernel_c, monkeypatch, mode)
+
+
+def assert_walks_match(kernel_c, monkeypatch, mode):
+    assert len(ODD_KEYS[-1]) > 4 * 624
     rng = random.Random(11)
     keys = [*walk_keys(3, 200), *ODD_KEYS]
     partial_capped = 0
@@ -330,9 +348,74 @@ def test_walks_match_beyond_one_word(kernel_c, monkeypatch, mode):
     assert steps > 0 and any(x >> 64 for x in ends)
 
 
+@pytest.mark.parametrize("n", [63, 64, 65, 128])
+def test_counts_and_picks_across_word_boundaries(kernel_c, n):
+    """count_states and pick_min_state agree on both kernels where a count
+    or a state fills its last machine word: TRUE counts 2^n states, which
+    takes one bit past n."""
+    rng = random.Random(n)
+    order = rng.sample(range(n), n)
+    x = rng.getrandbits(n)
+    steps = [(rng.choice(OPS), rng.randrange(4), rng.getrandbits(20),
+              rng.getrandbits(20), rng.getrandbits(20)) for _ in range(300)]
+    results = []
+    for module in (_kernel_py, kernel_c):
+        kernel = module.Kernel(n, 1 << 24, order)
+        run_ops(kernel, steps)
+        assert kernel.count_states(1) == 2 ** n
+        assert kernel.pick_min_state(1) == 0
+        cube = kernel.cube(x)
+        assert kernel.count_states(cube) == 1
+        assert kernel.pick_min_state(cube) == x
+        others = kernel.apply(OP_XOR, cube, 1)
+        assert kernel.count_states(others) == 2 ** n - 1
+        assert kernel.pick_min_state(others) == (0 if x else 1 << n - 1)
+        # two sets of 2^n - 2 states that leave the top variable free, below
+        # a node of that variable: the sum of their counts carries through
+        # every word
+        top = 1 << order[0]
+        halves = [kernel.apply(OP_XOR, kernel.apply(
+            _kernel_py.OP_OR, kernel.cube(y), kernel.cube(y ^ top)), 1)
+            for y in (x, x ^ 1 << order[1])]
+        assert kernel.count_states(kernel.mk(0, *halves)) == 2 ** n - 2
+        for i in {0, 62, 63, 64, n - 1} & set(order):
+            var = kernel.mk(2 * order.index(i), 0, 1)
+            assert kernel.count_states(var) == 2 ** (n - 1)
+            assert kernel.pick_min_state(var) == 1 << i
+        results.append([(kernel.count_states(f), kernel.pick_min_state(f))
+                         for f in range(1, kernel.num_nodes())
+                         if not kernel.has_primed(f)])
+    assert results[0] == results[1]
+    assert len(results[0]) > n
+
+
+@settings(max_examples=50, deadline=None)
+@given(n_vars=st.integers(0, 70), data=st.data())
+def test_cubes_match_node_for_node(kernel_c, n_vars, data):
+    """Kernel.cube builds the nodes of the bottom-up loop over mk on both
+    kernels, and rejects the same states."""
+    order = data.draw(st.permutations(range(n_vars)))
+    xs = data.draw(st.lists(st.integers(0, 2 ** n_vars - 1), max_size=6))
+    results = []
+    for module in (_kernel_py, kernel_c):
+        kernel = module.Kernel(n_vars, 1 << 24, order)
+        refs = [kernel.cube(x) for x in xs]
+        assert [kernel.states(f) for f in refs] == [[x] for x in xs]
+        errors = []
+        for x in (-1, 2 ** n_vars):
+            with pytest.raises(ValueError) as exc:
+                kernel.cube(x)
+            errors.append(str(exc.value))
+        results.append((refs, node_table(kernel), errors))
+    assert results[0] == results[1]
+    kernel = _kernel_py.Kernel(n_vars, 1 << 24, order)
+    assert [cube(kernel, x, order) for x in xs] == results[0][0]
+    assert node_table(kernel) == results[0][1]
+
+
 def test_a_walk_without_end_can_be_interrupted(manager_on):
     """A walk on a one-variable oscillator runs until its cap, 2^30 steps
-    (about a minute on the C kernel); a signal stops it inside that one
+    (about half a minute on the C kernel); a signal stops it inside that one
     walk, on either kernel, within seconds."""
     ts = build(parse_bnet("a, !a\n"), UpdateMode.ASYNC)
 

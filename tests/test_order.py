@@ -1,6 +1,12 @@
 """The variable order: FORCE, the manager's level layout, and outputs that do
 not depend on the order."""
 
+import importlib.util
+import math
+import sys
+import types
+from pathlib import Path
+
 import pytest
 
 from basinscope import cli
@@ -8,8 +14,9 @@ from basinscope.attractors import attractors
 from basinscope.basins import basin_triples
 from basinscope.dd import DdManager, ExprStyle, NodeLimitError, to_expression
 from basinscope.model import (
-    Not, Or, Var, detect_van_ham_pairs, make_and, parse_bnet)
-from basinscope.stg import build, force_order
+    Not, Or, Var, conjuncts, detect_van_ham_pairs, expr_vars, make_and,
+    parse_bnet)
+from basinscope.stg import FORCE_ROUNDS, build, force_order
 from conftest import CHAIN, TOGGLE, VAN_HAM
 from oracle import oracle_cases
 
@@ -66,6 +73,65 @@ def test_each_van_ham_pair_is_a_hyperedge():
                      "x_high, x_high\n")
     assert force_order(net) == list(range(7))
     assert force_order(detect_van_ham_pairs(net)) == [1, 0, 2, 3, 4, 6, 5]
+
+
+def force_order_by_rounds(net):
+    """FORCE as each round once summed every hyperedge and membership on
+    its own: the reference for the flat sums of `force_order`."""
+    n = net.n
+    edges = [sorted({i} | expr_vars(upd)) for i, upd in enumerate(net.updates)]
+    edges += [sorted(expr_vars(c)) for c in conjuncts(net.admissibility)]
+    edges = [e for e in edges if e]
+    member = [[] for _ in range(n)]
+    for j, e in enumerate(edges):
+        for v in e:
+            member[v].append(j)
+    size_lcm = math.lcm(*map(len, edges))
+    degree_lcm = math.lcm(*map(len, member))
+    order = list(range(n))
+    pos = list(range(n))
+    for _ in range(FORCE_ROUNDS):
+        centre = [sum(pos[v] for v in e) * (size_lcm // len(e)) for e in edges]
+        target = [sum(centre[j] for j in member[v])
+                  * (degree_lcm // len(member[v])) for v in range(n)]
+        ranked = sorted(range(n), key=lambda v: (target[v], pos[v]))
+        if ranked == order:
+            break
+        order = ranked
+        for p, v in enumerate(order):
+            pos[v] = p
+    return order
+
+
+def benchmark_pool_models(monkeypatch):
+    """The .bnet texts of the benchmark's random16 and vanham14 pools.  The
+    generators need none of the explicit checker that gen.py imports
+    (NumPy and SciPy), so a stub stands in for it."""
+    monkeypatch.setitem(sys.modules, "explicit", types.SimpleNamespace(
+        Model=None, ctl_text=None, state_string=None))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", Path(__file__).resolve().parents[1] / "perfbench"
+        / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return ([gen.random16_model(p["model"])
+             for p in gen.load_pool("random16")]
+            + [gen.vanham_model(p["model"])
+               for p in gen.load_pool("vanham14")])
+
+
+def test_force_order_matches_the_round_by_round_sums(monkeypatch):
+    """The flat sums give the same order as summing each hyperedge on its
+    own, on every model of the benchmark's random16 and vanham14 pools, as
+    the CLI reads them (van Ham pairs detected)."""
+    texts = benchmark_pool_models(monkeypatch)
+    assert len(texts) == 48 + 24
+    paired = 0
+    for text in texts:
+        net = detect_van_ham_pairs(parse_bnet(text))
+        paired += net.admissibility is not None
+        assert force_order(net) == force_order_by_rounds(net)
+    assert paired == 24
 
 
 def test_manager_levels_follow_the_order():
