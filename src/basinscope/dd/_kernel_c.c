@@ -6,11 +6,12 @@
  * (as in CUDD): a colliding store overwrites the old entry.  Recomputing an
  * evicted entry only revisits nodes that already exist, so node ids are the
  * same as with the unbounded caches of the pure-Python kernel.  The computed
- * table grows with the unique table up to CACHE_MAX_SLOTS entries.  A
- * parallel byte array of flags records, per node, whether a primed slot
- * occurs at or below it, so that the state-level walks reject primed
- * diagrams in O(1).  The variable order[p] occupies levels 2p (unprimed)
- * and 2p + 1 (primed), and the order defaults to the declaration order.
+ * table grows with the unique table up to CACHE_MAX_SLOTS entries and keeps
+ * its entries when it grows.  A parallel byte array of flags records, per
+ * node, whether a primed slot occurs at or below it, so that the state-level
+ * walks reject primed diagrams in O(1).  The variable order[p] occupies
+ * levels 2p (unprimed) and 2p + 1 (primed), and the order defaults to the
+ * declaration order.
  * Quantification has one recursion, the relational product and_exists
  * (after CUDD's Cudd_bddAndAbstract); quantifying a single diagram is its
  * product with TRUE.
@@ -99,11 +100,6 @@ static inline void cache_store(Kernel *k, uint32_t tag, int32_t f, int32_t g,
     e->res = res;
 }
 
-static void cache_clear(Kernel *k)
-{
-    memset(k->cache, 0xFF, (size_t)(k->cache_mask + 1) * sizeof(CacheEntry));
-}
-
 /* -- unique table -------------------------------------------------------- */
 
 static inline uint32_t node_hash(int32_t level, int32_t low, int32_t high)
@@ -111,9 +107,11 @@ static inline uint32_t node_hash(int32_t level, int32_t low, int32_t high)
     return hash3((uint32_t)level, (uint32_t)low, (uint32_t)high);
 }
 
-/* Double the bucket array and, below its cap, the computed table.  On
- * allocation failure the old tables stay in use: longer chains and more
- * evictions cost time, not correctness. */
+/* Double the bucket array and, below its cap, the computed table.  The
+ * computed table keeps its entries: node ids are stable, so every entry
+ * stays valid, and its slot under the wider mask is its old slot or that
+ * plus the old size.  On allocation failure the old tables stay in use:
+ * longer chains and more evictions cost time, not correctness. */
 static void grow_tables(Kernel *k)
 {
     uint32_t slots = (k->bucket_mask + 1) * 2;
@@ -130,12 +128,24 @@ static void grow_tables(Kernel *k)
         }
     }
     if (slots <= CACHE_MAX_SLOTS && slots > k->cache_mask + 1) {
-        CacheEntry *cache = malloc((size_t)slots * sizeof(CacheEntry));
+        CacheEntry *cache = realloc(k->cache,
+                                    (size_t)slots * sizeof(CacheEntry));
         if (cache != NULL) {
-            free(k->cache);
+            uint32_t old = k->cache_mask + 1;
+            memset(cache + old, 0xFF,
+                   (size_t)(slots - old) * sizeof(CacheEntry));
             k->cache = cache;
             k->cache_mask = slots - 1;
-            cache_clear(k);
+            for (uint32_t i = 0; i < old; i++) {
+                CacheEntry *e = &cache[i];
+                if (e->f < 0)
+                    continue;
+                CacheEntry *to = cache_slot(k, e->tag, e->f, e->g);
+                if (to != e) {
+                    *to = *e;
+                    memset(e, 0xFF, sizeof *e);
+                }
+            }
         }
     }
 }
@@ -686,7 +696,7 @@ static int Kernel_init(Kernel *self, PyObject *args, PyObject *kwds)
     }
     self->bucket_mask = INITIAL_SLOTS - 1;
     self->cache_mask = INITIAL_SLOTS - 1;
-    cache_clear(self);
+    memset(self->cache, 0xFF, INITIAL_SLOTS * sizeof(CacheEntry));
     for (int32_t t = 0; t < 2; t++) {
         self->nodes[t].level = self->num_levels;
         self->nodes[t].low = t;

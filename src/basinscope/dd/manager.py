@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from functools import partial
 
 from ..model import And, BoolExpr, Const, Not, Or, Var
 from . import _select as _kernel
@@ -29,6 +30,19 @@ def node_limit_from_env() -> int:
     if not 0 < limit < 1 << 63:
         raise ValueError(message)
     return limit
+
+
+def balanced_fold(combine, items):
+    """Fold the non-empty sequence items with combine as a balanced binary
+    tree, in pairwise rounds: each round combines neighbours, and an odd
+    last item is carried to the next round.  Over conjuncts in level
+    order, each intermediate result spans one block of neighbouring
+    levels, where a left-deep fold would carry the product of everything
+    folded so far."""
+    while len(items) > 1:
+        carry = items[-1:] if len(items) % 2 else []
+        items = [*map(combine, items[::2], items[1::2]), *carry]
+    return items[0]
 
 
 class DdManager:
@@ -72,16 +86,11 @@ class DdManager:
             return self.var(expr.index)
         if isinstance(expr, Not):
             return k.apply(OP_XOR, self.compile_expr(expr.child), 1)
-        if isinstance(expr, And):
-            acc = 1
-            for a in expr.args:
-                acc = k.apply(OP_AND, acc, self.compile_expr(a))
-            return acc
-        if isinstance(expr, Or):
-            acc = 0
-            for a in expr.args:
-                acc = k.apply(OP_OR, acc, self.compile_expr(a))
-            return acc
+        if isinstance(expr, (And, Or)):
+            op, unit = (OP_AND, 1) if isinstance(expr, And) else (OP_OR, 0)
+            return balanced_fold(partial(k.apply, op),
+                                 [self.compile_expr(a) for a in expr.args]
+                                 or [unit])
         raise ValueError(f"cannot compile {expr!r}")
 
     def cube(self, x: int) -> int:

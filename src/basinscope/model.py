@@ -285,20 +285,27 @@ class VariableTable:
 
 @dataclass(frozen=True)
 class BooleanNetwork:
-    """Variables, one update expression per variable, optional admissibility."""
+    """Variables, one update expression per variable, optional admissibility.
+
+    `reads[i]` holds the variables that update i reads, as collected when
+    the updates are validated."""
 
     variables: VariableTable
     updates: tuple[BoolExpr, ...]
     admissibility: BoolExpr | None = None
+    reads: tuple[frozenset[int], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.variables)
         if len(self.updates) != n:
             raise ValueError("need exactly one update per variable")
-        for expr in self.updates:
-            for idx in expr_vars(expr):
+        reads = tuple(frozenset(expr_vars(expr)) for expr in self.updates)
+        for used in reads:
+            for idx in used:
                 if not 0 <= idx < n:
                     raise ValueError(f"update references invalid index {idx}")
+        object.__setattr__(self, "reads", reads)
         if self.admissibility is not None:
             for idx in expr_vars(self.admissibility):
                 if not 0 <= idx < n:

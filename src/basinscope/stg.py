@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass, field
 
 from .dd import OP_AND, OP_DIFF, OP_OR, OP_XOR, DdManager, StateSet
+from .dd.manager import balanced_fold
 from .model import BooleanNetwork, conjuncts, expr_vars
 
 
@@ -143,7 +144,7 @@ def force_order(net: BooleanNetwork) -> list[int]:
     of its hyperedges and ranks the variables by that; ties keep the
     previous order.  The arithmetic is exact, so ties are exact too."""
     n = net.n
-    edges = [sorted({i} | expr_vars(upd)) for i, upd in enumerate(net.updates)]
+    edges = [sorted({i} | used) for i, used in enumerate(net.reads)]
     edges += [sorted(expr_vars(c)) for c in conjuncts(net.admissibility)]
     edges = [e for e in edges if e]
     member = [[] for _ in range(n)]
@@ -207,30 +208,25 @@ def build(net: BooleanNetwork, mode: UpdateMode = UpdateMode.ASYNC,
              else m.compile_expr(net.admissibility))
 
     f_refs = [m.compile_expr(upd) for upd in net.updates]
+    # per variable, in level order: it keeps its value, and it takes its
+    # update value
     same = [m.not_(m.apply(OP_XOR, m.var_primed(i), m.var(i)))
-            for i in range(n)]
+            for i in m.order]
     upd_eq = [m.not_(m.apply(OP_XOR, m.var_primed(i), f_refs[i]))
-              for i in range(n)]
-    # prefix products of the frame conditions same_j
-    prefix = [1] * (n + 1)
-    for i in range(n):
-        prefix[i + 1] = m.apply(OP_AND, prefix[i], same[i])
-    identity = prefix[n]
+              for i in m.order]
 
     if mode is UpdateMode.SYNC:
-        relation = 1
-        for u in upd_eq:
-            relation = m.apply(OP_AND, relation, u)
+        identity = balanced_fold(m.and_, same)
+        relation = balanced_fold(m.and_, upd_eq)
     else:
-        # the frame of flip i is same_j for every j != i
-        suffix = [1] * (n + 1)
-        for i in reversed(range(n)):
-            suffix[i] = m.apply(OP_AND, suffix[i + 1], same[i])
-        relation = 0
-        for i in range(n):
-            flip = m.apply(OP_AND, upd_eq[i], m.not_(same[i]))
-            frame = m.apply(OP_AND, prefix[i], suffix[i + 1])
-            relation = m.apply(OP_OR, relation, m.apply(OP_AND, flip, frame))
+        # a block of variables as a pair (S, F), S: each keeps its value,
+        # F: exactly one flips to its update value and the others keep theirs
+        def join(a, b):
+            (s0, f0), (s1, f1) = a, b
+            return m.and_(s0, s1), m.or_(m.and_(f0, s1), m.and_(s0, f1))
+
+        identity, relation = balanced_fold(
+            join, [(s, m.diff(u, s)) for s, u in zip(same, upd_eq)])
 
     space_primed = space if space == 1 else m.rename_unprimed_to_primed(space)
     relation = m.apply(OP_AND, relation, m.apply(OP_AND, space, space_primed))
@@ -250,8 +246,7 @@ def build(net: BooleanNetwork, mode: UpdateMode = UpdateMode.ASYNC,
 def steady_states(ts: TransitionSystem) -> StateSet:
     """Exactly the admissible states with f(x) = x."""
     m = ts.manager
-    acc = ts.space_ref
-    for i, upd in enumerate(ts.net.updates):
-        eq = m.not_(m.apply(OP_XOR, m.var(i), m.compile_expr(upd)))
-        acc = m.apply(OP_AND, acc, eq)
-    return ts.set_of(acc)
+    fixed = [m.not_(m.apply(OP_XOR, m.var(i),
+                            m.compile_expr(ts.net.updates[i])))
+             for i in m.order]
+    return ts.set_of(balanced_fold(m.and_, [*fixed, ts.space_ref]))

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from basinscope.dd import (
     OP_AND, OP_DIFF, OP_OR, OP_XOR, DdManager, ExprStyle, StateSet,
-    isop_cover, to_expression)
-from basinscope.model import eval_expr
+    _kernel_py, _select, isop_cover, to_expression)
+from basinscope.model import And, Or, eval_expr
 from oracle import random_expr
 
 
@@ -133,18 +133,38 @@ def test_dnf_limit():
         to_expression(m, 1, ExprStyle.DNF_STATES)
 
 
+def wide_expr(rng, n, nested=True):
+    """An And or Or node of 4 to 9 arguments, odd counts included; with
+    nested, some arguments are such nodes too."""
+    args = tuple(wide_expr(rng, n, False) if nested and rng.random() < 0.3
+                 else random_expr(rng, n, 2)
+                 for _ in range(rng.randrange(4, 10)))
+    return And(args) if rng.random() < 0.5 else Or(args)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**9), st.integers(2, 6))
-def test_canonicity_matches_truth_table(seed, n):
-    rng = random.Random(seed)
-    m = DdManager(n)
-    e1 = random_expr(rng, n, 3)
-    e2 = random_expr(rng, n, 3)
-    f1 = m.compile_expr(e1)
-    f2 = m.compile_expr(e2)
-    same = all(eval_expr(e1, bits) == eval_expr(e2, bits)
-               for bits in product((0, 1), repeat=n))
-    assert (f1 == f2) == same
+@given(seed=st.integers(0, 10**9), n=st.integers(2, 6))
+def test_canonicity_matches_truth_table(kernel_c, seed, n):
+    """compile_expr folds an And or Or of k arguments as a balanced tree,
+    so the wide nodes reach its uneven halves; e2 is sometimes e1 with its
+    arguments shuffled, the same function folded in another shape."""
+    for module in (_kernel_py, kernel_c):
+        rng = random.Random(seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_select, "Kernel", module.Kernel)
+            m = DdManager(n)
+        e1 = (random_expr(rng, n, 3) if rng.random() < 0.5
+              else wide_expr(rng, n))
+        if isinstance(e1, (And, Or)) and rng.random() < 0.5:
+            e2 = type(e1)(tuple(rng.sample(e1.args, len(e1.args))))
+        else:
+            e2 = (random_expr(rng, n, 3) if rng.random() < 0.5
+                  else wide_expr(rng, n))
+        f1 = m.compile_expr(e1)
+        f2 = m.compile_expr(e2)
+        same = all(eval_expr(e1, bits) == eval_expr(e2, bits)
+                   for bits in product((0, 1), repeat=n))
+        assert (f1 == f2) == same
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,5 @@
-"""The variable order: FORCE, the manager's level layout, and outputs that do
-not depend on the order."""
+"""The variable order: FORCE, the manager's level layout, relations built
+over it, and outputs that do not depend on the order."""
 
 import importlib.util
 import math
@@ -32,6 +32,14 @@ def pairs(k):
     is k levels apart in the declaration order."""
     return ("".join(f"a{i}, b{i}\n" for i in range(k))
             + "".join(f"b{i}, a{i}\n" for i in range(k)))
+
+
+def wide_chain(n):
+    """v0 is the AND of the other n - 1 variables and v_i = v_{i-1}: every
+    variable copies its neighbour, so the steady states are all 0 and all
+    1."""
+    return ("v0, " + " & ".join(f"v{i}" for i in range(1, n)) + "\n"
+            + "".join(f"v{i}, v{i - 1}\n" for i in range(1, n)))
 
 
 def dag_size(m, f):
@@ -253,6 +261,23 @@ def test_force_order_shrinks_the_ring_relation():
     assert forced.manager.order == tuple(force_order(net))
     assert dag_size(declared.manager, declared.relation) == 8650
     assert dag_size(forced.manager, forced.relation) == 1321
+
+
+@pytest.mark.parametrize("manager_on, n", [("c", 3000), ("py", 400)],
+                         indirect=["manager_on"])
+def test_wide_chain_builds_in_linear_size(manager_on, n, monkeypatch):
+    """The relation and v0's update are balanced folds over the level
+    order, so the build allocates O(n) nodes under the default node limit;
+    products accumulated one variable at a time allocated about 8.6 n^2,
+    and n = 3,000 ended at the limit.  The pure-Python kernel's apply
+    recurses once per level, so there n = 500 already exceeds Python's
+    recursion limit; deep diagrams on that kernel are ROADMAP item 8."""
+    monkeypatch.delenv("BASINSCOPE_NODE_LIMIT", raising=False)
+    ts = build(parse_bnet(wide_chain(n)))
+    m = ts.manager
+    assert m.kernel.states(ts.loops) == [0, 2 ** n - 1]
+    assert dag_size(m, ts.relation) < 21 * n
+    assert m.kernel.num_nodes() < 10 ** 6
 
 
 def test_ring_basins_step_from_the_reached_set(monkeypatch, tmp_path, capsys):
