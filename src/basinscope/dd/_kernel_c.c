@@ -137,11 +137,9 @@ static void grow_tables(Kernel *k)
             k->cache = cache;
             k->cache_mask = slots - 1;
             for (uint32_t i = 0; i < old; i++) {
-                CacheEntry *e = &cache[i];
-                if (e->f < 0)
-                    continue;
-                CacheEntry *to = cache_slot(k, e->tag, e->f, e->g);
-                if (to != e) {
+                CacheEntry *e = &cache[i], *to;
+                if (e->f >= 0
+                    && (to = cache_slot(k, e->tag, e->f, e->g)) != e) {
                     *to = *e;
                     memset(e, 0xFF, sizeof *e);
                 }

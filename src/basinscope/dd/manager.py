@@ -33,12 +33,9 @@ def node_limit_from_env() -> int:
 
 
 def balanced_fold(combine, items):
-    """Fold the non-empty sequence items with combine as a balanced binary
-    tree, in pairwise rounds: each round combines neighbours, and an odd
-    last item is carried to the next round.  Over conjuncts in level
-    order, each intermediate result spans one block of neighbouring
-    levels, where a left-deep fold would carry the product of everything
-    folded so far."""
+    """Fold the non-empty list items with combine as a balanced binary tree:
+    each round combines neighbours and carries an odd last item.  Over
+    conjuncts in level order, each partial result spans a block of levels."""
     while len(items) > 1:
         carry = items[-1:] if len(items) % 2 else []
         items = [*map(combine, items[::2], items[1::2]), *carry]

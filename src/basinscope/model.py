@@ -285,10 +285,8 @@ class VariableTable:
 
 @dataclass(frozen=True)
 class BooleanNetwork:
-    """Variables, one update expression per variable, optional admissibility.
-
-    `reads[i]` holds the variables that update i reads, as collected when
-    the updates are validated."""
+    """Variables, one update expression per variable, optional admissibility;
+    `reads[i]` holds the variables that update i reads."""
 
     variables: VariableTable
     updates: tuple[BoolExpr, ...]

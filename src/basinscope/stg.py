@@ -208,8 +208,7 @@ def build(net: BooleanNetwork, mode: UpdateMode = UpdateMode.ASYNC,
              else m.compile_expr(net.admissibility))
 
     f_refs = [m.compile_expr(upd) for upd in net.updates]
-    # per variable, in level order: it keeps its value, and it takes its
-    # update value
+    # per variable in level order: it keeps its value; it takes f_i(x)
     same = [m.not_(m.apply(OP_XOR, m.var_primed(i), m.var(i)))
             for i in m.order]
     upd_eq = [m.not_(m.apply(OP_XOR, m.var_primed(i), f_refs[i]))
