@@ -6,12 +6,11 @@
  * (as in CUDD): a colliding store overwrites the old entry.  Recomputing an
  * evicted entry only revisits nodes that already exist, so node ids are the
  * same as with the unbounded caches of the pure-Python kernel.  The computed
- * table grows with the unique table up to CACHE_MAX_SLOTS entries and keeps
- * its entries when it grows.  A parallel byte array of flags records, per
- * node, whether a primed slot occurs at or below it, so that the state-level
- * walks reject primed diagrams in O(1).  The variable order[p] occupies
- * levels 2p (unprimed) and 2p + 1 (primed), and the order defaults to the
- * declaration order.
+ * table grows with the unique table up to CACHE_MAX_SLOTS entries, keeping
+ * its entries.  A parallel byte array of flags records, per node, whether a
+ * primed slot occurs at or below it, so that the state-level walks reject
+ * primed diagrams in O(1).  The variable order[p] occupies levels 2p
+ * (unprimed) and 2p + 1 (primed); the order defaults to declaration order.
  * Quantification has one recursion, the relational product and_exists
  * (after CUDD's Cudd_bddAndAbstract); quantifying a single diagram is its
  * product with TRUE.
@@ -107,11 +106,10 @@ static inline uint32_t node_hash(int32_t level, int32_t low, int32_t high)
     return hash3((uint32_t)level, (uint32_t)low, (uint32_t)high);
 }
 
-/* Double the bucket array and, below its cap, the computed table.  The
- * computed table keeps its entries: node ids are stable, so every entry
- * stays valid, and its slot under the wider mask is its old slot or that
- * plus the old size.  On allocation failure the old tables stay in use:
- * longer chains and more evictions cost time, not correctness. */
+/* Double the bucket array and, below its cap, the computed table, which
+ * keeps its entries: node ids are stable, so each stays valid in its old slot
+ * or that plus the old size.  On allocation failure the old tables stay in
+ * use: longer chains and more evictions cost time, not correctness. */
 static void grow_tables(Kernel *k)
 {
     uint32_t slots = (k->bucket_mask + 1) * 2;
@@ -137,11 +135,11 @@ static void grow_tables(Kernel *k)
             k->cache = cache;
             k->cache_mask = slots - 1;
             for (uint32_t i = 0; i < old; i++) {
-                CacheEntry *e = &cache[i], *to;
-                if (e->f >= 0
-                    && (to = cache_slot(k, e->tag, e->f, e->g)) != e) {
-                    *to = *e;
-                    memset(e, 0xFF, sizeof *e);
+                CacheEntry *e = &cache[i];
+                if (e->f >= 0 && hash3(e->tag, (uint32_t)e->f,
+                                       (uint32_t)e->g) & old) {
+                    cache[i + old] = *e;
+                    e->f = -1;
                 }
             }
         }

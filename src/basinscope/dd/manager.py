@@ -34,8 +34,7 @@ def node_limit_from_env() -> int:
 
 def balanced_fold(combine, items):
     """Fold the non-empty list items with combine as a balanced binary tree:
-    each round combines neighbours and carries an odd last item.  Over
-    conjuncts in level order, each partial result spans a block of levels."""
+    each round combines neighbours and carries an odd last item."""
     while len(items) > 1:
         carry = items[-1:] if len(items) % 2 else []
         items = [*map(combine, items[::2], items[1::2]), *carry]

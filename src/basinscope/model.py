@@ -291,23 +291,21 @@ class BooleanNetwork:
     variables: VariableTable
     updates: tuple[BoolExpr, ...]
     admissibility: BoolExpr | None = None
-    reads: tuple[frozenset[int], ...] = field(
-        init=False, repr=False, compare=False)
+    reads: tuple[frozenset, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.variables)
         if len(self.updates) != n:
             raise ValueError("need exactly one update per variable")
         reads = tuple(frozenset(expr_vars(expr)) for expr in self.updates)
-        for used in reads:
+        object.__setattr__(self, "reads", reads)
+        admitted = (() if self.admissibility is None
+                    else expr_vars(self.admissibility))
+        for what, used in (("update", frozenset().union(*reads)),
+                           ("admissibility", admitted)):
             for idx in used:
                 if not 0 <= idx < n:
-                    raise ValueError(f"update references invalid index {idx}")
-        object.__setattr__(self, "reads", reads)
-        if self.admissibility is not None:
-            for idx in expr_vars(self.admissibility):
-                if not 0 <= idx < n:
-                    raise ValueError("admissibility references invalid index")
+                    raise ValueError(f"{what} references invalid index {idx}")
 
     @property
     def n(self) -> int:

@@ -142,29 +142,40 @@ def wide_expr(rng, n, nested=True):
     return And(args) if rng.random() < 0.5 else Or(args)
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 10**9), n=st.integers(2, 6))
-def test_canonicity_matches_truth_table(kernel_c, seed, n):
-    """compile_expr folds an And or Or of k arguments as a balanced tree,
-    so the wide nodes reach its uneven halves; e2 is sometimes e1 with its
-    arguments shuffled, the same function folded in another shape."""
-    for module in (_kernel_py, kernel_c):
-        rng = random.Random(seed)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(_select, "Kernel", module.Kernel)
-            m = DdManager(n)
-        e1 = (random_expr(rng, n, 3) if rng.random() < 0.5
-              else wide_expr(rng, n))
-        if isinstance(e1, (And, Or)) and rng.random() < 0.5:
-            e2 = type(e1)(tuple(rng.sample(e1.args, len(e1.args))))
-        else:
-            e2 = (random_expr(rng, n, 3) if rng.random() < 0.5
-                  else wide_expr(rng, n))
+def check_canonicity(module, seed, n):
+    """Two expressions compile to the same node on the kernel module iff
+    they agree on every state.  Besides a pair of random expressions,
+    compile_expr folds a wide And or Or as a balanced tree with uneven
+    halves, and a shuffled copy is the same function folded in another
+    shape."""
+    rng = random.Random(seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_select, "Kernel", module.Kernel)
+        m = DdManager(n)
+    pairs = [(random_expr(rng, n, 3), random_expr(rng, n, 3))]
+    wide = wide_expr(rng, n)
+    pairs.append((wide, type(wide)(tuple(rng.sample(wide.args,
+                                                    len(wide.args))))))
+    pairs.append((wide, wide_expr(rng, n) if rng.random() < 0.5
+                  else random_expr(rng, n, 3)))
+    for e1, e2 in pairs:
         f1 = m.compile_expr(e1)
         f2 = m.compile_expr(e2)
         same = all(eval_expr(e1, bits) == eval_expr(e2, bits)
                    for bits in product((0, 1), repeat=n))
         assert (f1 == f2) == same
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9), st.integers(2, 6))
+def test_canonicity_matches_truth_table(seed, n):
+    check_canonicity(_kernel_py, seed, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**9), n=st.integers(2, 6))
+def test_canonicity_matches_truth_table_on_c(kernel_c, seed, n):
+    check_canonicity(kernel_c, seed, n)
 
 
 @settings(max_examples=40, deadline=None)
